@@ -734,7 +734,7 @@ int main() {
               num_requests, distinct);
   std::printf("compiled-forest kernel: %s (lockstep width %zu)\n\n",
               CompiledForest::ActiveKernelName(),
-              CompiledForest::ActiveLockstepWidth());
+              CompiledForest::kLockstepWidth);
 
   // --- Serial baseline: one thread, one request at a time. ---
   std::vector<double> serial(requests.size());
@@ -985,14 +985,13 @@ int main() {
   json.Number("batched_uncached_qps", dn / fanout.seconds);
   json.Number("batched_cached_qps", dn / memoized.seconds);
   json.Number("batched_uncached_speedup", serial_sec / fanout.seconds);
-  // Inference-path configuration behind the numbers above: which compiled-
-  // forest kernel ran (avx2 / scalar / scalar-exact), its lockstep width,
-  // and the chunk size the adaptive policy picked for this batch shape —
-  // so a regression in the JSON can be attributed to a dispatch or sizing
-  // change, not just "got slower".
+  // Inference-path configuration behind the numbers above: the compiled-
+  // forest kernel, its lockstep width, and the chunk size the adaptive
+  // policy picked for this batch shape — so a regression in the JSON can be
+  // attributed to a kernel or sizing change, not just "got slower".
   json.Str("simd_kernel", CompiledForest::ActiveKernelName());
   json.Int("lockstep_width",
-           static_cast<long long>(CompiledForest::ActiveLockstepWidth()));
+           static_cast<long long>(CompiledForest::kLockstepWidth));
   json.Int("chunk_size_effective",
            static_cast<long long>(uncached.EffectiveChunkSize(
                requests.size(), TaskPriority::kNormal)));

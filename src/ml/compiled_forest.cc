@@ -1,14 +1,7 @@
 #include "src/ml/compiled_forest.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RESEST_HAVE_AVX2_KERNEL 1
-#include <immintrin.h>
-#endif
 
 namespace resest {
 
@@ -121,29 +114,8 @@ inline size_t Step(size_t i, const double* x,
 }
 }  // namespace
 
-ForestKernel CompiledForest::ActiveKernel() {
-#if defined(RESEST_EXACT_PREDICT)
-  return ForestKernel::kScalar;
-#else
-  static const ForestKernel kernel = [] {
-    // The override names the widest kernel the caller wants; unsupported
-    // requests fall down the ladder rather than erroring, so a script can
-    // set RESEST_SIMD=avx512 and still run on an AVX2-only host.
-    const char* env = std::getenv("RESEST_SIMD");
-    if (env != nullptr && std::strcmp(env, "scalar") == 0) {
-      return ForestKernel::kScalar;
-    }
-    const bool want_avx512 =
-        env == nullptr || std::strcmp(env, "avx512") == 0;
-    if (want_avx512 && Avx512Supported()) return ForestKernel::kAvx512;
-    return Avx2Supported() ? ForestKernel::kAvx2 : ForestKernel::kScalar;
-  }();
-  return kernel;
-#endif
-}
-
 bool CompiledForest::Avx2Supported() {
-#if defined(RESEST_HAVE_AVX2_KERNEL)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
@@ -151,30 +123,13 @@ bool CompiledForest::Avx2Supported() {
 }
 
 bool CompiledForest::Avx512Supported() {
-#if defined(RESEST_HAVE_AVX2_KERNEL)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512vl") != 0 &&
          __builtin_cpu_supports("avx512dq") != 0;
 #else
   return false;
 #endif
-}
-
-const char* CompiledForest::ActiveKernelName() {
-#if defined(RESEST_EXACT_PREDICT)
-  return "scalar-exact";
-#else
-  switch (ActiveKernel()) {
-    case ForestKernel::kAvx512: return "avx512";
-    case ForestKernel::kAvx2: return "avx2";
-    case ForestKernel::kScalar: break;
-  }
-  return "scalar";
-#endif
-}
-
-size_t CompiledForest::ActiveLockstepWidth() {
-  return ActiveKernel() == ForestKernel::kAvx512 ? 16 : kLockstepWidth;
 }
 
 double CompiledForest::Predict(const double* features, size_t count) const {
@@ -196,37 +151,14 @@ double CompiledForest::Predict(const double* features, size_t count) const {
   return out;
 }
 
+void CompiledForest::PredictBatchWith(ForestKernel /*kernel*/,
+                                      const double* rows, size_t num_rows,
+                                      size_t stride, double* out) const {
+  PredictBatch(rows, num_rows, stride, out);
+}
+
 void CompiledForest::PredictBatch(const double* rows, size_t num_rows,
                                   size_t stride, double* out) const {
-  PredictBatchWith(ActiveKernel(), rows, num_rows, stride, out);
-}
-
-void CompiledForest::PredictBatchWith(ForestKernel kernel, const double* rows,
-                                      size_t num_rows, size_t stride,
-                                      double* out) const {
-#if defined(RESEST_HAVE_AVX2_KERNEL) && !defined(RESEST_EXACT_PREDICT)
-  // Both vector kernels address feature values with 32-bit offsets; batches
-  // past that range (not reachable through the serving layer's batch cap)
-  // take the scalar path.
-  const bool offsets_fit =
-      num_rows * stride <=
-      static_cast<size_t>(std::numeric_limits<int32_t>::max());
-  if (kernel == ForestKernel::kAvx512 && Avx512Supported() && offsets_fit) {
-    PredictBatchAvx512(rows, num_rows, stride, out);
-    return;
-  }
-  if (kernel == ForestKernel::kAvx2 && Avx2Supported() && offsets_fit) {
-    PredictBatchAvx2(rows, num_rows, stride, out);
-    return;
-  }
-#else
-  (void)kernel;
-#endif
-  PredictBatchScalar(rows, num_rows, stride, out);
-}
-
-void CompiledForest::PredictBatchScalar(const double* rows, size_t num_rows,
-                                        size_t stride, double* out) const {
   for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
   // Tree-outer/row-inner: one tree's handful of pre-order nodes stays
   // cache-hot across the whole batch, and each out[r] still receives the
@@ -276,283 +208,5 @@ void CompiledForest::PredictBatchScalar(const double* rows, size_t num_rows,
     }
   }
 }
-
-#if defined(RESEST_HAVE_AVX2_KERNEL)
-namespace {
-/// Walks G lockstep groups (8 rows each, starting at row r0) down one tree
-/// and stores the 8*G leaf indices. The gathers in one group's step form a
-/// serial dependency chain (~two gather latencies per level), so a single
-/// group leaves the load ports mostly idle; interleaving G independent
-/// groups keeps G chains in flight and hides that latency. G=4 (32 rows)
-/// measures ~3x the single-group kernel on Skylake-class cores.
-template <size_t G>
-__attribute__((target("avx2"))) inline void Avx2WalkGroups(
-    const CompiledForest::HotNode* nodes, const double* rows, size_t stride,
-    size_t r0, int32_t root, int32_t depth, int32_t* leaf_out) {
-  // Word-granular views of the 16-byte node records: index i * 4 reaches
-  // node i's feature; the +1/+2 base offsets reach threshold and right.
-  const int* words = reinterpret_cast<const int*>(nodes);
-  const float* words_f = reinterpret_cast<const float*>(nodes);
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i vstride = _mm256_set1_epi32(static_cast<int>(stride));
-  const __m256i ones = _mm256_set1_epi32(1);
-  // Explicit all-ones masks + zero sources for the gathers: identical
-  // codegen to the maskless forms, but without the undefined source
-  // operand GCC's -Wmaybe-uninitialized flags inside avx2intrin.h.
-  const __m256i gall = _mm256_set1_epi32(-1);
-  const __m256i gzero = _mm256_setzero_si256();
-  const __m256 gzero_ps = _mm256_setzero_ps();
-  const __m256d gzero_pd = _mm256_setzero_pd();
-  const __m256d gall_pd = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256i idx[G];
-  __m256i rowoff[G];
-  for (size_t g = 0; g < G; ++g) {
-    idx[g] = _mm256_set1_epi32(root);
-    rowoff[g] = _mm256_mullo_epi32(
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(r0 + 8 * g)),
-                         iota),
-        vstride);
-  }
-  for (int32_t d = depth; d > 0; --d) {
-    for (size_t g = 0; g < G; ++g) {
-      const __m256i word = _mm256_slli_epi32(idx[g], 2);
-      const __m256i feat =
-          _mm256_mask_i32gather_epi32(gzero, words, word, gall, 4);
-      const __m256 thr = _mm256_mask_i32gather_ps(
-          gzero_ps, words_f + 1, word, _mm256_castsi256_ps(gall), 4);
-      const __m256i right =
-          _mm256_mask_i32gather_epi32(gzero, words + 2, word, gall, 4);
-      // Per-row feature loads: offset = row * stride + feature.
-      const __m256i xoff = _mm256_add_epi32(rowoff[g], feat);
-      const __m256d x_lo = _mm256_mask_i32gather_pd(
-          gzero_pd, rows, _mm256_castsi256_si128(xoff), gall_pd, 8);
-      const __m256d x_hi = _mm256_mask_i32gather_pd(
-          gzero_pd, rows, _mm256_extracti128_si256(xoff, 1), gall_pd, 8);
-      // Compare in the double domain, exactly like the scalar walk: the
-      // float32 threshold widens losslessly, and LE_OQ is false for the
-      // leaves' NaN thresholds and for NaN features — both then take
-      // `right`, matching `!(x <= t)`.
-      const __m256d t_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(thr));
-      const __m256d t_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(thr, 1));
-      const __m256d le_lo = _mm256_cmp_pd(x_lo, t_lo, _CMP_LE_OQ);
-      const __m256d le_hi = _mm256_cmp_pd(x_hi, t_hi, _CMP_LE_OQ);
-      // Pack the two 4x64-bit compare masks into one 8x32-bit lane mask
-      // in row order (shuffle interleaves the 128-bit halves; the 64-bit
-      // permute restores 0..7).
-      const __m256 packed = _mm256_shuffle_ps(_mm256_castpd_ps(le_lo),
-                                              _mm256_castpd_ps(le_hi),
-                                              _MM_SHUFFLE(2, 0, 2, 0));
-      const __m256i mask = _mm256_permute4x64_epi64(
-          _mm256_castps_si256(packed), _MM_SHUFFLE(3, 1, 2, 0));
-      const __m256i left = _mm256_add_epi32(idx[g], ones);
-      idx[g] = _mm256_castps_si256(_mm256_blendv_ps(
-          _mm256_castsi256_ps(right), _mm256_castsi256_ps(left),
-          _mm256_castsi256_ps(mask)));
-    }
-  }
-  for (size_t g = 0; g < G; ++g) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(leaf_out + 8 * g), idx[g]);
-  }
-}
-}  // namespace
-
-__attribute__((target("avx2")))
-void CompiledForest::PredictBatchAvx2(const double* rows, size_t num_rows,
-                                      size_t stride, double* out) const {
-  for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
-  const HotNode* nodes = nodes_.data();
-  // 4 interleaved groups of 8 = 32 rows in flight per tree.
-  constexpr size_t kGroups = 4;
-  const size_t num_trees = roots_.size();
-  // Leaves evaluate scalar, per row in order: the accumulation stays one
-  // mul + one add per tree in the double domain (no FMA), so each out[r]
-  // is bit-identical to the scalar kernel and to Predict.
-  auto accumulate = [&](size_t r, size_t count, const int32_t* leaf) {
-    for (size_t k = 0; k < count; ++k) {
-      const size_t i = static_cast<size_t>(leaf[k]);
-      const double* x = rows + (r + k) * stride;
-      double v = value_[i];
-      if (lin_feature_[i] >= 0) {
-        v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
-      }
-      out[r + k] += learning_rate_ * v;
-    }
-  };
-  for (size_t t = 0; t < num_trees; ++t) {
-    const int32_t root = roots_[t];
-    const int32_t depth = depths_[t];
-    alignas(32) int32_t leaf[8 * kGroups];
-    size_t r = 0;
-    for (; r + 8 * kGroups <= num_rows; r += 8 * kGroups) {
-      Avx2WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 8 * kGroups, leaf);
-    }
-    for (; r + 8 <= num_rows; r += 8) {
-      Avx2WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 8, leaf);
-    }
-    for (; r < num_rows; ++r) {
-      const double* x = rows + r * stride;
-      size_t i = static_cast<size_t>(root);
-      for (int32_t d = depth; d > 0; --d) {
-        i = Step(i, x, nodes);
-      }
-      double v = value_[i];
-      if (lin_feature_[i] >= 0) {
-        v += slope_[i] * x[static_cast<size_t>(lin_feature_[i])];
-      }
-      out[r] += learning_rate_ * v;
-    }
-  }
-}
-// Unlike the AVX2 set, GCC 12's plain AVX-512 intrinsics (slli, the 512->
-// 256 casts, cvtps_pd) are themselves implemented over _mm512_undefined_*()
-// sources in avx512fintrin.h, so -Wmaybe-uninitialized fires inside the
-// system header with no masked-intrinsic workaround available at the call
-// site; suppress it for just this kernel.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-namespace {
-/// The AVX2 walk at 16-row lockstep. AVX-512 removes the two costs the
-/// 8-wide kernel pays per step: the compare produces a __mmask8 directly
-/// (no shuffle/permute packing of 64-bit compare results back into 32-bit
-/// lanes), and the child select is a single mask blend. G independent
-/// groups interleave for the same latency-hiding reason as in
-/// Avx2WalkGroups; with twice the rows per group, G=2 (32 rows) already
-/// keeps the gather ports saturated.
-template <size_t G>
-__attribute__((target("avx512f,avx512vl,avx512dq"))) inline void
-Avx512WalkGroups(const CompiledForest::HotNode* nodes, const double* rows,
-                 size_t stride, size_t r0, int32_t root, int32_t depth,
-                 int32_t* leaf_out) {
-  // Same word-granular node addressing as the AVX2 kernel: index i * 4
-  // reaches node i's feature; +1/+2 reach threshold and right.
-  const int* words = reinterpret_cast<const int*>(nodes);
-  const float* words_f = reinterpret_cast<const float*>(nodes);
-  const __m512i iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6,
-                                        5, 4, 3, 2, 1, 0);
-  const __m512i vstride = _mm512_set1_epi32(static_cast<int>(stride));
-  const __m512i ones = _mm512_set1_epi32(1);
-  // All-lanes masked gathers with zeroed sources: same codegen as the
-  // maskless forms, but without the undefined source operand GCC's
-  // -Wmaybe-uninitialized flags inside avx512fintrin.h (the AVX2 kernel
-  // applies the identical workaround).
-  const __mmask16 kall = static_cast<__mmask16>(0xffff);
-  const __mmask8 kall8 = static_cast<__mmask8>(0xff);
-  const __m512i gzero = _mm512_setzero_si512();
-  const __m512 gzero_ps = _mm512_setzero_ps();
-  const __m512d gzero_pd = _mm512_setzero_pd();
-  __m512i idx[G];
-  __m512i rowoff[G];
-  for (size_t g = 0; g < G; ++g) {
-    idx[g] = _mm512_set1_epi32(root);
-    rowoff[g] = _mm512_mullo_epi32(
-        _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(r0 + 16 * g)),
-                         iota),
-        vstride);
-  }
-  for (int32_t d = depth; d > 0; --d) {
-    for (size_t g = 0; g < G; ++g) {
-      const __m512i word = _mm512_slli_epi32(idx[g], 2);
-      const __m512i feat =
-          _mm512_mask_i32gather_epi32(gzero, kall, word, words, 4);
-      const __m512 thr =
-          _mm512_mask_i32gather_ps(gzero_ps, kall, word, words_f + 1, 4);
-      const __m512i right =
-          _mm512_mask_i32gather_epi32(gzero, kall, word, words + 2, 4);
-      // Per-row feature loads: offset = row * stride + feature, gathered
-      // as two 8-lane double halves off the 16 32-bit offsets.
-      const __m512i xoff = _mm512_add_epi32(rowoff[g], feat);
-      const __m512d x_lo = _mm512_mask_i32gather_pd(
-          gzero_pd, kall8, _mm512_castsi512_si256(xoff), rows, 8);
-      const __m512d x_hi = _mm512_mask_i32gather_pd(
-          gzero_pd, kall8, _mm512_extracti32x8_epi32(xoff, 1), rows, 8);
-      // Double-domain compare, exactly like the scalar walk: the float32
-      // threshold widens losslessly, and LE_OQ is false for the leaves'
-      // NaN thresholds and for NaN features — both take `right`.
-      const __m512d t_lo =
-          _mm512_cvtps_pd(_mm512_castps512_ps256(thr));
-      const __m512d t_hi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(thr, 1));
-      const __mmask8 le_lo = _mm512_cmp_pd_mask(x_lo, t_lo, _CMP_LE_OQ);
-      const __mmask8 le_hi = _mm512_cmp_pd_mask(x_hi, t_hi, _CMP_LE_OQ);
-      const __mmask16 le = static_cast<__mmask16>(
-          static_cast<unsigned>(le_lo) | (static_cast<unsigned>(le_hi) << 8));
-      const __m512i left = _mm512_add_epi32(idx[g], ones);
-      idx[g] = _mm512_mask_blend_epi32(le, right, left);
-    }
-  }
-  for (size_t g = 0; g < G; ++g) {
-    _mm512_storeu_si512(leaf_out + 16 * g, idx[g]);
-  }
-}
-}  // namespace
-
-namespace {
-/// Leaf accumulation for the AVX-512 kernel's epilogue — deliberately a
-/// separate noinline function with NO vector target attribute. The avx512f
-/// target enables EVEX FMA, and under GCC's default -ffp-contract=fast an
-/// inline `out += lr * v` inside the kernel body contracts into one fused
-/// rounding, silently breaking bit identity with the scalar walk (a ~1-ulp
-/// drift that only shows over a long boosting sum). The default target has
-/// no FMA, so compiling the accumulation here keeps the mul and add as two
-/// roundings, exactly like the scalar kernel and Predict. (The AVX2 kernel
-/// is immune: target("avx2") carries no FMA.)
-__attribute__((noinline)) void AccumulateLeavesNoFma(
-    const float* value, const int16_t* lin_feature, const float* slope,
-    double learning_rate, const double* rows, size_t stride, size_t r,
-    size_t count, const int32_t* leaf, double* out) {
-  for (size_t k = 0; k < count; ++k) {
-    const size_t i = static_cast<size_t>(leaf[k]);
-    const double* x = rows + (r + k) * stride;
-    double v = value[i];
-    if (lin_feature[i] >= 0) {
-      v += slope[i] * x[static_cast<size_t>(lin_feature[i])];
-    }
-    out[r + k] += learning_rate * v;
-  }
-}
-}  // namespace
-
-__attribute__((target("avx512f,avx512vl,avx512dq")))
-void CompiledForest::PredictBatchAvx512(const double* rows, size_t num_rows,
-                                        size_t stride, double* out) const {
-  for (size_t r = 0; r < num_rows; ++r) out[r] = f0_;
-  const HotNode* nodes = nodes_.data();
-  // 2 interleaved groups of 16 = 32 rows in flight per tree, matching the
-  // AVX2 kernel's blocking so the two kernels see identical cache behavior.
-  constexpr size_t kGroups = 2;
-  const size_t num_trees = roots_.size();
-  auto accumulate = [&](size_t r, size_t count, const int32_t* leaf) {
-    AccumulateLeavesNoFma(value_.data(), lin_feature_.data(), slope_.data(),
-                          learning_rate_, rows, stride, r, count, leaf, out);
-  };
-  for (size_t t = 0; t < num_trees; ++t) {
-    const int32_t root = roots_[t];
-    const int32_t depth = depths_[t];
-    alignas(64) int32_t leaf[16 * kGroups];
-    size_t r = 0;
-    for (; r + 16 * kGroups <= num_rows; r += 16 * kGroups) {
-      Avx512WalkGroups<kGroups>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 16 * kGroups, leaf);
-    }
-    for (; r + 16 <= num_rows; r += 16) {
-      Avx512WalkGroups<1>(nodes, rows, stride, r, root, depth, leaf);
-      accumulate(r, 16, leaf);
-    }
-    for (; r < num_rows; ++r) {
-      const double* x = rows + r * stride;
-      size_t i = static_cast<size_t>(root);
-      for (int32_t d = depth; d > 0; --d) {
-        i = Step(i, x, nodes);
-      }
-      // Through the noinline helper even for one row: an inline mul+add
-      // here would FMA-contract under this function's avx512f target.
-      leaf[0] = static_cast<int32_t>(i);
-      accumulate(r, 1, leaf);
-    }
-  }
-}
-#pragma GCC diagnostic pop
-#endif  // RESEST_HAVE_AVX2_KERNEL
 
 }  // namespace resest

@@ -9,41 +9,23 @@
 // (int32 split feature, float32-quantized threshold, int32 right-child
 // index) so one cache line holds four nodes and one traversal step touches
 // one line instead of four parallel arrays. The left child is implicit —
-// pre-order emission places it at index i + 1 — which is what lets the AVX2
-// kernel resolve a step with three node gathers instead of five. Leaf
-// values and the linear-leaf fields stay in separate cold arrays, touched
-// once per tree per row.
+// pre-order emission places it at index i + 1. Leaf values and the
+// linear-leaf fields stay in separate cold arrays, touched once per tree
+// per row.
 //
-// Batched traversal runs rows per tree in lockstep (8 scalar/AVX2, 16
-// AVX-512); the fixed-depth, self-looping walk has no data-dependent exit,
-// so the rows' load-compare chains overlap in the pipeline. Three kernels
-// implement it:
-//
-//  - kScalar: portable unrolled lockstep, the fallback on any hardware.
-//  - kAvx2: x86 AVX2 gathers — per step, one 8-lane gather each for the
-//    split features, thresholds and right-child indices, plus two 4-lane
-//    double gathers for the feature values, then a predicated blend picks
-//    each row's next node. Compiled behind a function-level target
-//    attribute and selected at runtime (cpuid + RESEST_SIMD env override),
-//    so binaries built on/for non-AVX2 hosts still run the scalar path.
-//  - kAvx512: the same walk at 16-row lockstep (AVX-512 F/VL/DQ) — one
-//    16-lane word gather per node field, two 8-lane double gathers for the
-//    feature values, native _CMP_LE_OQ mask compares (no shuffle-based
-//    mask packing), and a mask blend for the child select. Same function-
-//    level target attribute + cpuid gating; preferred over kAvx2 when the
-//    CPU has it, overridable with RESEST_SIMD=avx512|avx2|scalar.
+// PredictBatch walks kLockstepWidth (8) rows per tree in lockstep: the
+// fixed-depth, self-looping walk has no data-dependent exit, so the rows'
+// load-compare chains overlap in the pipeline. It is the only kernel:
+// serving sweeps are mostly 1-4 rows, where AVX2 and AVX-512 gather kernels
+// did not beat it end to end. A SIMD kernel belongs here only once the
+// benchmark shows it winning by >=15% at the service level
+// (docs/inference_tuning.md has the measurements).
 //
 // Bit-identity contract: Predict and PredictBatch reproduce the legacy
-// per-tree scalar path (Mart::PredictReference) byte for byte — in BOTH
-// kernels. Comparisons happen in the double domain (the float32 threshold
-// is widened exactly), and each row's accumulation f0 + sum_i lr * tree_i(x)
-// runs scalar, in boosting order, with no FMA contraction; the vector code
-// only computes leaf indices, which are integers and either exactly right
-// or a bug. Defining RESEST_EXACT_PREDICT (CMake option of the same name)
-// additionally pins every batch entry point to the scalar reference-order
-// kernel, so the bit-identity oracle suite enforces the contract without
-// trusting any SIMD kernel — the escape hatch for a future kernel that
-// does reassociate.
+// per-tree scalar path (Mart::PredictReference) byte for byte. Comparisons
+// happen in the double domain (the float32 threshold is widened exactly),
+// and each row's accumulation f0 + sum_i lr * tree_i(x) runs in boosting
+// order.
 //
 // Immutability: Compile() fully builds the representation; afterwards all
 // methods are const and touch no mutable state, so a compiled forest can be
@@ -58,33 +40,20 @@
 
 namespace resest {
 
-/// Traversal kernel identifiers; see ActiveKernel().
+/// Kernel names kept for callers that request one explicitly (benches that
+/// compare kernels across builds). Every value runs the scalar kernel.
 enum class ForestKernel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 class CompiledForest {
  public:
-  /// Rows walked in lockstep per tree by the scalar and AVX2 kernels (the
-  /// AVX-512 kernel walks 16; see ActiveLockstepWidth()).
+  /// Rows walked in lockstep per tree by PredictBatch.
   static constexpr size_t kLockstepWidth = 8;
 
-  /// The kernel PredictBatch dispatches to, resolved once per process: the
-  /// widest of kAvx512 > kAvx2 > kScalar the CPU (and build) supports.
-  /// Overrides: RESEST_SIMD=scalar forces the fallback (bench
-  /// comparability, testing); RESEST_SIMD=avx2 / RESEST_SIMD=avx512
-  /// request that kernel but still fall back down the ladder when
-  /// unsupported; a RESEST_EXACT_PREDICT build pins kScalar
-  /// unconditionally.
-  static ForestKernel ActiveKernel();
-  /// "avx512", "avx2", "scalar", or "scalar-exact" (RESEST_EXACT_PREDICT
-  /// build).
-  static const char* ActiveKernelName();
-  /// Rows per lockstep group of the active kernel: 16 for kAvx512, else 8.
-  static size_t ActiveLockstepWidth();
-  /// True when this binary carries the AVX2 kernel and the CPU supports it
-  /// (regardless of the RESEST_SIMD override).
+  /// The batch kernel's name, for bench fingerprints: always "scalar".
+  static const char* ActiveKernelName() { return "scalar"; }
+  /// Host facts for bench fingerprints; no kernel depends on them. True
+  /// when the CPU supports AVX2, and AVX-512 F+VL+DQ, respectively.
   static bool Avx2Supported();
-  /// True when this binary carries the AVX-512 kernel and the CPU supports
-  /// AVX-512 F+VL+DQ (regardless of the RESEST_SIMD override).
   static bool Avx512Supported();
 
   /// Flattens `trees` (the boosted sequence of a Mart) into the contiguous
@@ -102,13 +71,13 @@ class CompiledForest {
   /// (row i starts at rows + i * stride). out[i] is bit-identical to
   /// Predict(rows + i * stride, stride): the loop is tree-outer/row-inner
   /// for cache locality, but each row still accumulates f0 first and then
-  /// the trees in boosting order. Dispatches to ActiveKernel().
+  /// the trees in boosting order.
   void PredictBatch(const double* rows, size_t num_rows, size_t stride,
                     double* out) const;
 
-  /// Test seam: PredictBatch through a specific kernel. Falls back to
-  /// kScalar when the requested kernel is unavailable on this host (and in
-  /// RESEST_EXACT_PREDICT builds, which pin the scalar path).
+  /// PredictBatch through a named kernel. Falls back to scalar when the
+  /// kernel is unavailable; no build carries a SIMD kernel, so every value
+  /// runs scalar.
   void PredictBatchWith(ForestKernel kernel, const double* rows,
                         size_t num_rows, size_t stride, double* out) const;
 
@@ -123,34 +92,23 @@ class CompiledForest {
   /// out of bounds at predict time.
   size_t NumFeaturesReferenced() const { return num_features_referenced_; }
 
-  /// One traversal record. 16 bytes so the AVX2 kernel reaches any field
-  /// with a scale-4 word gather off index * 4, and a cache line covers four
-  /// nodes. The left child is implicit (pre-order: index + 1); leaves
-  /// carry a NaN threshold, which fails every ordered compare, so both the
-  /// scalar select and the vector blend route a finished row to `right` —
-  /// pointed at the leaf itself (the self-loop that makes the fixed-depth
-  /// walk overshoot-safe).
+  /// One traversal record. 16 bytes so a cache line covers four nodes.
+  /// The left child is implicit (pre-order: index + 1); leaves carry a NaN
+  /// threshold, which fails every ordered compare, so the select routes a
+  /// finished row to `right` — pointed at the leaf itself (the self-loop
+  /// that makes the fixed-depth walk overshoot-safe).
   struct HotNode {
     int32_t feature = 0;      ///< Split feature (0 on leaves, never read).
     float threshold = 0.0f;   ///< Go left iff x[feature] <= threshold.
     int32_t right = 0;        ///< Absolute right-child index; self on leaves.
     int32_t pad = 0;          ///< Keeps the record a power-of-two size.
   };
-  static_assert(sizeof(HotNode) == 16, "gather addressing assumes 16B nodes");
+  static_assert(sizeof(HotNode) == 16, "four nodes per cache line");
 
  private:
   /// Pre-order emission of the subtree rooted at `node` into nodes_ and the
   /// cold leaf arrays; returns the absolute index it was placed at.
   int32_t EmitSubtree(const std::vector<TreeNode>& tree_nodes, size_t node);
-
-  void PredictBatchScalar(const double* rows, size_t num_rows, size_t stride,
-                          double* out) const;
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  void PredictBatchAvx2(const double* rows, size_t num_rows, size_t stride,
-                        double* out) const;
-  void PredictBatchAvx512(const double* rows, size_t num_rows, size_t stride,
-                          double* out) const;
-#endif
 
   double f0_ = 0.0;
   double learning_rate_ = 0.0;

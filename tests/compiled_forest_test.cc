@@ -220,17 +220,11 @@ TEST_F(EstimatorSweepTest, DeserializedEstimatorStaysBitIdentical) {
 }
 
 // --- Kernel edge cases: every oddly-shaped batch a caller can legally ---
-// --- construct, through all kernels via the PredictBatchWith seam.     ---
-// On hosts without AVX2/AVX-512 the vector requests fall back to scalar
-// and those comparisons are trivially true — the suite still runs.
+// --- construct, through PredictBatch.                                  ---
 
-constexpr ForestKernel kAllKernels[] = {
-    ForestKernel::kScalar, ForestKernel::kAvx2, ForestKernel::kAvx512};
-
-// Row counts straddling both lockstep widths (8 and 16) and both kernels'
-// interleaved 32-row blocks (AVX2 4x8, AVX-512 2x16): empty, single-row,
-// exact multiples, one-off each side. Every lane-masking and tail path
-// must stay bit-identical to the legacy reference walk.
+// Row counts straddling the 8-row lockstep width and its multiples: empty,
+// single-row, exact multiples, one-off each side. Every tail path must stay
+// bit-identical to the legacy reference walk.
 TEST(CompiledForestEdgeTest, RowCountsAroundLockstepWidth) {
   for (const bool linear_leaves : {false, true}) {
     const size_t kFeatures = 5;
@@ -247,18 +241,14 @@ TEST(CompiledForestEdgeTest, RowCountsAroundLockstepWidth) {
       std::vector<double> matrix(num_rows * kFeatures);
       for (auto& v : matrix) v = rng.Uniform(-50.0, 4000.0);
       std::vector<double> out(num_rows, -1.0);
-      for (const ForestKernel kernel : kAllKernels) {
-        std::fill(out.begin(), out.end(), -1.0);
-        mart.compiled().PredictBatchWith(kernel, matrix.data(), num_rows,
-                                         kFeatures, out.data());
-        for (size_t i = 0; i < num_rows; ++i) {
-          std::vector<double> row(matrix.begin() + i * kFeatures,
-                                  matrix.begin() + (i + 1) * kFeatures);
-          EXPECT_EQ(out[i], mart.PredictReference(row))
-              << "rows=" << num_rows << " row " << i << " kernel "
-              << static_cast<int>(kernel)
-              << (linear_leaves ? " REGTREE" : " MART");
-        }
+      mart.compiled().PredictBatch(matrix.data(), num_rows, kFeatures,
+                                   out.data());
+      for (size_t i = 0; i < num_rows; ++i) {
+        std::vector<double> row(matrix.begin() + i * kFeatures,
+                                matrix.begin() + (i + 1) * kFeatures);
+        EXPECT_EQ(out[i], mart.PredictReference(row))
+            << "rows=" << num_rows << " row " << i
+            << (linear_leaves ? " REGTREE" : " MART");
       }
     }
   }
@@ -294,20 +284,15 @@ TEST(CompiledForestEdgeTest, StrideWiderThanReferencedFeatures) {
     }
     rows.push_back(std::move(x));
   }
-  std::vector<double> out(kRows);
-  for (const ForestKernel kernel : kAllKernels) {
-    std::fill(out.begin(), out.end(), -1.0);
-    mart.compiled().PredictBatchWith(kernel, wide.data(), kRows, kStride,
-                                     out.data());
-    for (size_t i = 0; i < kRows; ++i) {
-      EXPECT_EQ(out[i], mart.PredictReference(rows[i]))
-          << "row " << i << " kernel " << static_cast<int>(kernel);
-    }
+  std::vector<double> out(kRows, -1.0);
+  mart.compiled().PredictBatch(wide.data(), kRows, kStride, out.data());
+  for (size_t i = 0; i < kRows; ++i) {
+    EXPECT_EQ(out[i], mart.PredictReference(rows[i])) << "row " << i;
   }
 }
 
-// An empty forest (no trees at all) predicts f0 for every row, from both
-// kernels, at any stride — and references no features.
+// An empty forest (no trees at all) predicts f0 for every row, single or
+// batched, at any stride — and references no features.
 TEST(CompiledForestEdgeTest, EmptyForestPredictsF0) {
   CompiledForest forest;
   forest.Compile(1.25, 0.1, {});
@@ -317,11 +302,9 @@ TEST(CompiledForestEdgeTest, EmptyForestPredictsF0) {
 
   const std::vector<double> rows = {3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
   EXPECT_EQ(forest.Predict(rows.data(), 2), 1.25);
-  for (const ForestKernel kernel : kAllKernels) {
-    std::vector<double> out(3, -1.0);
-    forest.PredictBatchWith(kernel, rows.data(), out.size(), 2, out.data());
-    for (const double v : out) EXPECT_EQ(v, 1.25);
-  }
+  std::vector<double> out(3, -1.0);
+  forest.PredictBatch(rows.data(), out.size(), 2, out.data());
+  for (const double v : out) EXPECT_EQ(v, 1.25);
 }
 
 // Leaf-only trees (depth 0 — a constant per tree, the shape a degenerate
@@ -349,57 +332,27 @@ TEST(CompiledForestEdgeTest, LeafOnlyAndNodelessTreesAccumulateConstants) {
   EXPECT_EQ(forest.NumTrees(), 4u);
   EXPECT_EQ(forest.NumFeaturesReferenced(), 0u);
 
-  // Same accumulation the kernels perform: scalar, in boosting order.
+  // Same accumulation the kernel performs: in boosting order.
   double expected = f0;
   for (const float leaf : {2.5f, -1.5f, 0.0f, 0.25f}) {
     expected += lr * static_cast<double>(leaf);
   }
   const std::vector<double> rows = {9.0, 8.0, 7.0, 6.0};
   EXPECT_EQ(forest.Predict(rows.data(), 1), expected);
-  for (const ForestKernel kernel : kAllKernels) {
-    for (const size_t num_rows : {1u, 4u, 9u}) {
-      std::vector<double> out(num_rows, -1.0);
-      // stride 0: every row aliases the same storage; legal because a
-      // zero-step walk reads nothing.
-      forest.PredictBatchWith(kernel, rows.data(), num_rows, 0, out.data());
-      for (const double v : out) EXPECT_EQ(v, expected);
-    }
+  for (const size_t num_rows : {1u, 4u, 9u}) {
+    std::vector<double> out(num_rows, -1.0);
+    // stride 0: every row aliases the same storage; legal because a
+    // zero-step walk reads nothing.
+    forest.PredictBatch(rows.data(), num_rows, 0, out.data());
+    for (const double v : out) EXPECT_EQ(v, expected);
   }
 }
 
-// The dispatch ladder and its names stay consistent: the active kernel is
-// one of the three, its name matches, and the lockstep width it reports is
-// the width the kernels actually walk (16 only for AVX-512).
-TEST(CompiledForestDispatchTest, ActiveKernelNameAndWidthAgree) {
-  const ForestKernel active = CompiledForest::ActiveKernel();
-  const std::string name = CompiledForest::ActiveKernelName();
-  switch (active) {
-    case ForestKernel::kAvx512:
-      EXPECT_TRUE(CompiledForest::Avx512Supported());
-      EXPECT_EQ(name, "avx512");
-      EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 16u);
-      break;
-    case ForestKernel::kAvx2:
-      EXPECT_TRUE(CompiledForest::Avx2Supported());
-      EXPECT_TRUE(name == "avx2");
-      EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 8u);
-      break;
-    case ForestKernel::kScalar:
-      EXPECT_TRUE(name == "scalar" || name == "scalar-exact");
-      EXPECT_EQ(CompiledForest::ActiveLockstepWidth(), 8u);
-      break;
-  }
-  // AVX-512 support implies AVX2 support on every real CPU; the dispatch
-  // ladder relies on that ordering.
-  if (CompiledForest::Avx512Supported()) {
-    EXPECT_TRUE(CompiledForest::Avx2Supported());
-  }
-}
-
-// Direct AVX-512-vs-reference oracle over a large random batch (on hosts
-// without AVX-512 the request falls back to scalar and the test still
-// verifies the fallback): every row bit-identical, both tree flavors.
-TEST(CompiledForestDispatchTest, Avx512MatchesReferenceBitwise) {
+// Every ForestKernel value still names a kernel: benches that compare
+// kernels across builds call PredictBatchWith with each of them, and each
+// must return exactly what PredictBatch and the reference walk return.
+TEST(CompiledForestKernelTest, EveryKernelNameRunsTheScalarKernelBitwise) {
+  EXPECT_STREQ(CompiledForest::ActiveKernelName(), "scalar");
   for (const bool linear_leaves : {false, true}) {
     const size_t kFeatures = 7;
     Dataset train = MakeData(2000, kFeatures, 313);
@@ -410,16 +363,25 @@ TEST(CompiledForestDispatchTest, Avx512MatchesReferenceBitwise) {
     mart.Fit(train);
 
     Rng rng(23);
-    const size_t kRows = 333;  // 10x32 + 16-wide remainder + scalar tail.
+    const size_t kRows = 333;  // 41 lockstep groups plus a 5-row tail
     std::vector<double> matrix(kRows * kFeatures);
     for (auto& v : matrix) v = rng.Uniform(-200.0, 6000.0);
-    std::vector<double> out(kRows, -1.0);
-    mart.compiled().PredictBatchWith(ForestKernel::kAvx512, matrix.data(),
-                                     kRows, kFeatures, out.data());
-    for (size_t i = 0; i < kRows; ++i) {
-      std::vector<double> row(matrix.begin() + i * kFeatures,
-                              matrix.begin() + (i + 1) * kFeatures);
-      EXPECT_EQ(out[i], mart.PredictReference(row)) << "row " << i;
+    std::vector<double> batched(kRows, -1.0);
+    mart.compiled().PredictBatch(matrix.data(), kRows, kFeatures,
+                                 batched.data());
+    for (const ForestKernel kernel :
+         {ForestKernel::kScalar, ForestKernel::kAvx2, ForestKernel::kAvx512}) {
+      std::vector<double> out(kRows, -1.0);
+      mart.compiled().PredictBatchWith(kernel, matrix.data(), kRows,
+                                       kFeatures, out.data());
+      for (size_t i = 0; i < kRows; ++i) {
+        std::vector<double> row(matrix.begin() + i * kFeatures,
+                                matrix.begin() + (i + 1) * kFeatures);
+        EXPECT_EQ(out[i], batched[i])
+            << "row " << i << " kernel " << static_cast<int>(kernel);
+        EXPECT_EQ(out[i], mart.PredictReference(row))
+            << "row " << i << " kernel " << static_cast<int>(kernel);
+      }
     }
   }
 }

@@ -8,10 +8,12 @@
 #include <filesystem>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/thread_pool.h"
+#include "src/core/features.h"
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
 #include "src/training/incremental_trainer.h"
@@ -1218,6 +1220,59 @@ TEST_F(ServingTest, TrafficRacingRefitServesOneOfTheTwoPublishedVersions) {
   ASSERT_TRUE(settled.ok());
   EXPECT_EQ(settled.model_version, v2);
   EXPECT_EQ(settled.value, serial_v2[0]);
+}
+
+// Operator-payload batches of 1-17 rows spanning several op types: the
+// wire path's shape. Each chunk splits again by (op, resource) and by the
+// Section 6.3 model choice, so most forest sweeps here see 1-4 rows. Every
+// result must be bit-identical to EstimateFromFeatures, with the cache off
+// and on (the second pass of the cached service is served from the cache).
+TEST_F(ServingTest, SmallOperatorBatchesBitIdenticalToEstimateFromFeatures) {
+  // Real operator features, every fourth one rescaled past the training
+  // envelope so selection also picks the extrapolating models.
+  std::vector<std::pair<OpType, FeatureVector>> ops;
+  for (const auto& eq : *workload_) {
+    eq.plan.root->Visit([&](const PlanNode* n) {
+      FeatureVector features =
+          ExtractFeatures(*n, nullptr, *eq.database, FeatureMode::kExact);
+      if (ops.size() % 4 == 3) {
+        for (auto& f : features) f *= 20.0;
+      }
+      ops.emplace_back(n->type, features);
+    });
+  }
+  ASSERT_GE(ops.size(), 153u);  // 1 + 2 + ... + 17 rows, one per operator
+
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(4);
+  for (const bool enable_cache : {false, true}) {
+    ServiceOptions options;
+    options.enable_cache = enable_cache;
+    EstimationService service(&registry, &pool, options);
+    for (int pass = 0; pass < 2; ++pass) {
+      size_t next = 0;
+      for (size_t num_rows = 1; num_rows <= 17; ++num_rows) {
+        std::vector<EstimateRequest> batch;
+        for (size_t i = 0; i < num_rows; ++i, ++next) {
+          batch.push_back(EstimateRequest::ForOperator(
+              ops[next].first, ops[next].second,
+              next % 2 == 0 ? Resource::kCpu : Resource::kIo));
+        }
+        const auto results = service.EstimateBatch(batch);
+        ASSERT_EQ(results.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          ASSERT_TRUE(results[i].ok());
+          EXPECT_EQ(results[i].value,
+                    estimator_->EstimateFromFeatures(
+                        batch[i].op, batch[i].features, batch[i].resource))
+              << "cache " << enable_cache << " pass " << pass << " rows "
+              << num_rows << " request " << i;
+        }
+      }
+    }
+    if (enable_cache) EXPECT_GT(service.stats().cache_hits, 0u);
+  }
 }
 
 TEST_F(ServingTest, PipelineEstimatesMatchDirectCall) {
