@@ -58,17 +58,34 @@ const char* FeatureName(FeatureId f) {
 }
 
 uint64_t HashFeatureVector(const FeatureVector& v) {
-  // FNV-1a over the 8-byte bit pattern of each slot.
-  uint64_t h = 1469598103934665603ull;
-  for (double d : v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d), "double must be 64-bit");
-    std::memcpy(&bits, &d, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+  // Two independent lanes of xxHash64-style rounds, one 8-byte word each,
+  // so the lanes' multiply chains overlap instead of serializing 8 byte
+  // steps per slot; a final avalanche spreads every input bit over the
+  // whole result (callers take both low bits and high bits).
+  constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+  constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+  constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+  const auto round = [](uint64_t acc, uint64_t word) {
+    acc += word * kP2;
+    acc = (acc << 31) | (acc >> 33);
+    return acc * kP1;
+  };
+  static_assert(kNumFeatures % 2 == 0, "lanes take alternate slots");
+  uint64_t words[kNumFeatures];
+  static_assert(sizeof(words) == sizeof(v), "double must be 64-bit");
+  std::memcpy(words, v.data(), sizeof(words));
+  uint64_t a = kP1 + kP2;
+  uint64_t b = kP2;
+  for (int i = 0; i < kNumFeatures; i += 2) {
+    a = round(a, words[i]);
+    b = round(b, words[i + 1]);
   }
+  uint64_t h = ((a << 1) | (a >> 63)) + ((b << 7) | (b >> 57));
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 

@@ -70,10 +70,11 @@ const char* FeatureName(FeatureId f);
 using FeatureVector = std::array<double, kNumFeatures>;
 
 /// Canonical 64-bit hash of a feature vector, computed over the raw bit
-/// patterns of its doubles (FNV-1a). Bitwise hashing keeps the hash
-/// consistent with HashEqual below: distinct bit patterns that compare
+/// patterns of its doubles one 8-byte word at a time and avalanched, so
+/// every output bit depends on every input bit. Bitwise hashing keeps the
+/// hash consistent with HashEqual below: distinct bit patterns that compare
 /// equal under operator== (-0.0 vs +0.0) hash differently on purpose, so
-/// equality for hashed containers must be bitwise too.
+/// equality for hashed containers must be bitwise too. Never persisted.
 uint64_t HashFeatureVector(const FeatureVector& v);
 
 /// Bitwise equality companion to HashFeatureVector: true iff every slot has

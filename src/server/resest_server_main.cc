@@ -49,6 +49,7 @@
 #include "src/common/thread_pool.h"
 #include "src/server/http_server.h"
 #include "src/server/serving_frontend.h"
+#include "src/serving/estimate_cache.h"
 #include "src/serving/estimation_service.h"
 #include "src/serving/model_registry.h"
 #include "src/serving/tenant_manager.h"
@@ -125,10 +126,11 @@ void PrintUsage(const char* argv0) {
       "                     tenant (ids: 1-64 chars, alphanumeric plus\n"
       "                     '.', '_', '-', starting alphanumeric)\n"
       "  --tenant-cache-mb=N  per-tenant estimate-cache budget in MiB\n"
-      "                     (approx %zu bytes/entry; 0 = service default)\n"
+      "                     (%zu bytes/entry: slab entry plus its index\n"
+      "                     share; 0 = service default)\n"
       "  --tenant-obslog-cap-mb=N  per-named-tenant observation-log cap\n"
       "                     (default: inherit --obslog-cap-mb)\n",
-      argv0, kApproxCacheEntryBytes);
+      argv0, EstimateCache::kBytesPerEntry);
 }
 
 bool ParseIntFlag(const char* arg, const char* name, int* out) {
@@ -275,9 +277,9 @@ int main(int argc, char** argv) {
   TenantOptions tenant_options;
   tenant_options.service.model_name = flags.model_name;
   if (flags.tenant_cache_mb > 0) {
-    tenant_options.service.cache_capacity =
-        std::max<size_t>(1, static_cast<size_t>(flags.tenant_cache_mb) *
-                                (size_t{1} << 20) / kApproxCacheEntryBytes);
+    tenant_options.service.cache_capacity = std::max<size_t>(
+        1, static_cast<size_t>(flags.tenant_cache_mb) * (size_t{1} << 20) /
+               EstimateCache::kBytesPerEntry);
   }
   tenant_options.coalescer.window_us =
       static_cast<uint32_t>(flags.coalesce_window_us);

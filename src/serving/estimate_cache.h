@@ -15,6 +15,19 @@
 // FeatureVectorHashEqual): a spurious mismatch costs one miss, while a
 // value-based match could alias distinct inputs.
 //
+// Layout: each shard is flat and allocation-free in the steady state. A
+// slab (vector) of entries holds every key, value and full 64-bit hash,
+// threaded by uint32 index links onto the LRU list and onto one membership
+// list per (op, resource) slot; freed entries are reused through a free
+// list. An open-addressing index (linear probing, backward-shift deletion)
+// maps hashes to slab positions; each index slot carries the low 32 hash
+// bits, which are both the probe tag and the home bucket, so probing and
+// shifting never touch the slab. Memory follows the entries, not the
+// bound: the index doubles on demand, and the slab reserves the bound's
+// address space once but its pages become resident only as entries are
+// written, so a mostly idle cache (say a quiet tenant's) costs memory for
+// the entries it holds, not its capacity.
+//
 // All methods are thread-safe; shards are independently locked so readers
 // of different shards never contend.
 #ifndef RESEST_SERVING_ESTIMATE_CACHE_H_
@@ -22,11 +35,8 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/core/features.h"
@@ -124,21 +134,39 @@ class EstimateCache {
   size_t capacity() const { return shard_capacity_ * shards_.size(); }
 
  private:
-  struct Entry;
-  using EntryList = std::list<Entry>;
-  /// Per-(op, resource) membership list: iterators into the shard's LRU.
-  using SlotList = std::list<EntryList::iterator>;
+  /// Reads the hash and layout so tests can build colliding probe runs.
+  friend class EstimateCacheTestPeer;
 
-  /// One cached estimate. Besides the key/value it carries its position in
-  /// the owning shard's per-slot membership list, so unlinking on LRU
-  /// eviction stays O(1) and scoped invalidation never scans non-matching
-  /// entries.
+  static constexpr uint32_t kNil = 0xffffffffu;
+
+  /// One cached estimate in a shard's slab. `hash` is kept so removal finds
+  /// the entry's index slot without rehashing the key.
   struct Entry {
     Key key;
     double value = 0.0;
-    SlotList::iterator slot_pos{};
+    uint64_t hash = 0;
+    uint32_t lru_prev = kNil;   ///< Towards the most recently used entry.
+    uint32_t lru_next = kNil;   ///< Towards the LRU tail; free-list link.
+    uint32_t slot_prev = kNil;  ///< Same-(op, resource) membership list.
+    uint32_t slot_next = kNil;
   };
 
+  /// One open-addressing index slot: `tag` is the low 32 bits of the key
+  /// hash (probe filter and home bucket), `entry` a slab position or kNil.
+  struct IndexSlot {
+    uint32_t tag = 0;
+    uint32_t entry = kNil;
+  };
+
+ public:
+  /// Resident bytes one entry costs at capacity: its slab entry plus its
+  /// share of the index, which stays at most half full (power-of-two
+  /// rounding can add up to two more slots). The conversion factor behind
+  /// --tenant-cache-mb.
+  static constexpr size_t kBytesPerEntry =
+      sizeof(Entry) + 2 * sizeof(IndexSlot);
+
+ private:
   static uint64_t HashKey(const Key& k);
   static bool KeysEqual(const Key& a, const Key& b);
   static size_t SlotIndex(OpType op, Resource resource) {
@@ -148,14 +176,15 @@ class EstimateCache {
 
   struct Shard {
     std::mutex mu;
-    /// Front = most recently used.
-    EntryList lru;
-    /// Keyed by the precomputed key hash (computed once per Lookup/Insert);
-    /// hash collisions are resolved by KeysEqual against the list node, so
-    /// each full Key is stored exactly once (in the LRU node).
-    std::unordered_multimap<uint64_t, EntryList::iterator> map;
-    /// Entries grouped by (op, resource) — the EvictOperators index.
-    std::array<SlotList, kNumModelSlots> by_slot;
+    std::vector<Entry> slab;
+    std::vector<IndexSlot> index;  ///< Power-of-two size, or empty.
+    uint32_t lru_head = kNil;      ///< Most recently used.
+    uint32_t lru_tail = kNil;      ///< Least recently used: the next victim.
+    uint32_t free_head = kNil;     ///< Slab entries released by erasure.
+    size_t size = 0;
+    /// Heads of the per-(op, resource) membership lists — the
+    /// EvictOperators index.
+    std::array<uint32_t, kNumModelSlots> slot_head;
     // Counters live with the shard (guarded by `mu`, which Lookup/Insert
     // already hold) so stats can report the per-shard traffic breakdown.
     uint64_t hits = 0;
@@ -164,14 +193,29 @@ class EstimateCache {
     uint64_t evictions = 0;
     uint64_t invalidated = 0;
     uint64_t invalidate_visited = 0;
+
+    Shard() { slot_head.fill(kNil); }
   };
 
-  /// The list iterator under (hash, key) in this shard, or lru.end().
-  static EntryList::iterator FindLocked(Shard& shard, uint64_t hash,
-                                        const Key& key);
-  /// Unlinks `node` from the hash map and its slot list, then erases it
-  /// from the LRU. Caller holds the shard mutex and accounts the removal.
-  static void EraseLocked(Shard& shard, EntryList::iterator node);
+  Shard& ShardOf(uint64_t hash) const {
+    return *shards_[(hash >> 32) % shards_.size()];
+  }
+  /// Slab position of `key` (whose hash is `hash`), or kNil.
+  static uint32_t FindLocked(const Shard& shard, uint64_t hash,
+                             const Key& key);
+  /// Links a new entry for (key, value) at the front of the LRU and of its
+  /// slot list and indexes it; the shard has room for it.
+  void AddLocked(Shard& shard, uint64_t hash, const Key& key,
+                 double value) const;
+  /// Unlinks entry `e` from the index, its slot list and the LRU, and puts
+  /// it on the free list. Caller holds the shard mutex and accounts for it.
+  static void EraseLocked(Shard& shard, uint32_t e);
+  static void UnlinkLru(Shard& shard, uint32_t e);
+  static void PushFrontLru(Shard& shard, uint32_t e);
+  /// Moves entry `e` to the most-recently-used end of the LRU.
+  static void PromoteLocked(Shard& shard, uint32_t e);
+  /// Doubles the index (at least 16 slots) and reinserts every tag.
+  static void GrowIndex(Shard& shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_capacity_;

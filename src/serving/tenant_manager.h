@@ -53,10 +53,6 @@ inline constexpr char kDefaultTenant[] = "default";
 inline constexpr size_t kMaxTenantIdLength = 64;
 bool IsValidTenantId(const std::string& id);
 
-/// Approximate resident bytes per estimate-cache entry (key + value + LRU/
-/// index/table overhead) — the conversion factor behind --tenant-cache-mb.
-inline constexpr size_t kApproxCacheEntryBytes = 512;
-
 /// Template applied to every tenant the manager creates.
 struct TenantOptions {
   /// Per-tenant service template; model_name is the *base* name (tenant t

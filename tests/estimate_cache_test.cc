@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <list>
+#include <map>
 #include <memory>
+#include <random>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -19,6 +23,20 @@
 #include "src/workload/tpch_queries.h"
 
 namespace resest {
+
+class EstimateCacheTestPeer {
+ public:
+  static uint64_t Hash(const EstimateCache::Key& key) {
+    return EstimateCache::HashKey(key);
+  }
+  static size_t IndexSlots(const EstimateCache& cache) {
+    return cache.shards_[0]->index.size();
+  }
+  static size_t SlabEntries(const EstimateCache& cache) {
+    return cache.shards_[0]->slab.size();
+  }
+};
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -326,8 +344,13 @@ TEST(EstimateCacheTest, LookupsStayLiveDuringRepeatedWideEviction) {
   }
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> swept_once{false};
   std::atomic<int> wrong{0};
   std::thread reader([&]() {
+    // The reader's lookups are all that keeps the evictor going, so without
+    // this handshake a fast enough reader finishes before the first sweep
+    // and the test asserts nothing about concurrent eviction.
+    while (!swept_once.load()) std::this_thread::yield();
     double value = 0.0;
     for (int round = 0; round < 200; ++round) {
       for (int i = 0; i < kHotKeys; i += 64) {
@@ -354,6 +377,7 @@ TEST(EstimateCacheTest, LookupsStayLiveDuringRepeatedWideEviction) {
         cache.Insert(MakeSlotKey(op, resource, ++serial), 3.0);
       }
       cache.EvictOperators(swept);
+      swept_once.store(true);
     }
   });
   reader.join();
@@ -375,6 +399,252 @@ TEST(EstimateCacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().hits, 1u);  // monotonic counters survive Clear
   EXPECT_FALSE(cache.Lookup(MakeKey(1, 1.0), &value));
+}
+
+// ---------------------------------------------------------------------------
+// Model-based check against a reference LRU (std::list + std::map)
+// ---------------------------------------------------------------------------
+
+// (version, op, resource, features[0], features[1] is -0.0) — features[1]
+// is +0.0 or -0.0, so bitwise key equality is exercised too.
+using RefKey = std::tuple<uint64_t, OpType, Resource, double, bool>;
+
+EstimateCache::Key ToCacheKey(const RefKey& k) {
+  EstimateCache::Key key;
+  key.model_version = std::get<0>(k);
+  key.op = std::get<1>(k);
+  key.resource = std::get<2>(k);
+  key.features.fill(0.0);
+  key.features[0] = std::get<3>(k);
+  key.features[1] = std::get<4>(k) ? -0.0 : 0.0;
+  return key;
+}
+
+/// The textbook LRU the flat shard must agree with, step for step.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Lookup(const RefKey& key, double* value) {
+    const auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++misses;
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.pos);
+    *value = it->second.value;
+    ++hits;
+    return true;
+  }
+
+  /// True (and *victim set) when the insertion evicted an entry.
+  bool Insert(const RefKey& key, double value, RefKey* victim) {
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second.value = value;
+      lru_.splice(lru_.begin(), lru_, it->second.pos);
+      return false;
+    }
+    lru_.push_front(key);
+    map_.emplace(key, Slot{value, lru_.begin()});
+    ++insertions;
+    if (map_.size() <= capacity_) return false;
+    *victim = lru_.back();
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    ++evictions;
+    return true;
+  }
+
+  void EvictOperators(const std::vector<ModelSlotId>& ops) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      const ModelSlotId slot{std::get<1>(*it), std::get<2>(*it)};
+      if (std::find(ops.begin(), ops.end(), slot) == ops.end()) {
+        ++it;
+        continue;
+      }
+      map_.erase(*it);
+      it = lru_.erase(it);
+      ++invalidated;
+    }
+  }
+
+  void Clear() {
+    map_.clear();
+    lru_.clear();
+  }
+
+  size_t entries() const { return map_.size(); }
+
+  uint64_t hits = 0, misses = 0, insertions = 0, evictions = 0;
+  uint64_t invalidated = 0;
+
+ private:
+  struct Slot {
+    double value;
+    std::list<RefKey>::iterator pos;
+  };
+  size_t capacity_;
+  std::list<RefKey> lru_;  ///< Front = most recently used.
+  std::map<RefKey, Slot> map_;
+};
+
+TEST(EstimateCacheModelTest, RandomOperationsMatchReferenceLru) {
+  constexpr size_t kCapacity = 12;
+  EstimateCacheOptions options;
+  options.capacity = kCapacity;
+  options.shards = 1;
+  EstimateCache cache(options);
+  ReferenceLru ref(kCapacity);
+
+  std::vector<ModelSlotId> slots;
+  for (OpType op : {OpType::kSort, OpType::kHashJoin, OpType::kFilter}) {
+    for (Resource r : {Resource::kCpu, Resource::kIo}) {
+      slots.emplace_back(op, r);
+    }
+  }
+  std::vector<RefKey> pool;  // 96 keys over 12 entries: constant eviction
+  for (uint64_t version : {1u, 2u}) {
+    for (const auto& [op, resource] : slots) {
+      for (int f = 0; f < 4; ++f) {
+        for (bool neg_zero : {false, true}) {
+          pool.emplace_back(version, op, resource, f, neg_zero);
+        }
+      }
+    }
+  }
+
+  const auto expect_same_counters = [&]() {
+    const EstimateCacheStats stats = cache.stats();
+    ASSERT_EQ(stats.entries, ref.entries());
+    ASSERT_EQ(stats.hits, ref.hits);
+    ASSERT_EQ(stats.misses, ref.misses);
+    ASSERT_EQ(stats.insertions, ref.insertions);
+    ASSERT_EQ(stats.evictions, ref.evictions);
+    ASSERT_EQ(stats.invalidated, ref.invalidated);
+    ASSERT_EQ(stats.invalidate_visited, stats.invalidated);
+  };
+  const auto lookup_both = [&](const RefKey& key) {
+    double got = -1.0, want = -2.0;
+    const bool hit = cache.Lookup(ToCacheKey(key), &got);
+    ASSERT_EQ(hit, ref.Lookup(key, &want));
+    if (hit) {
+      ASSERT_EQ(got, want);
+    }
+  };
+
+  std::mt19937_64 rng(20240611);
+  std::uniform_real_distribution<double> value_of(0.0, 1e6);
+  for (int step = 0; step < 6000; ++step) {
+    SCOPED_TRACE(step);
+    const RefKey& key = pool[rng() % pool.size()];
+    const int op = static_cast<int>(rng() % 100);
+    if (op < 45) {
+      const double value = value_of(rng);
+      cache.Insert(ToCacheKey(key), value);
+      RefKey victim;
+      if (ref.Insert(key, value, &victim)) {
+        // The cache must have dropped the same LRU victim. A miss does not
+        // reorder either LRU, so probing for it is side-effect free.
+        double unused = 0.0;
+        ASSERT_FALSE(cache.Lookup(ToCacheKey(victim), &unused));
+        ASSERT_FALSE(ref.Lookup(victim, &unused));
+      }
+    } else if (op < 90) {
+      ASSERT_NO_FATAL_FAILURE(lookup_both(key));
+    } else if (op < 98) {
+      std::vector<ModelSlotId> scope;
+      for (const ModelSlotId& slot : slots) {
+        if (rng() % 3 == 0) scope.push_back(slot);
+      }
+      cache.EvictOperators(scope);
+      ref.EvictOperators(scope);
+    } else {
+      cache.Clear();
+      ref.Clear();
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_counters());
+    if (step % 50 == 49) {
+      // Full sweep: the two hold exactly the same keys and values. Hits
+      // promote in both, so the sweep keeps their LRU orders in step.
+      for (const RefKey& probe : pool) {
+        ASSERT_NO_FATAL_FAILURE(lookup_both(probe));
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_counters());
+    }
+  }
+  EXPECT_GT(ref.evictions, 400u);
+  EXPECT_GT(ref.invalidated, 100u);
+}
+
+TEST(EstimateCacheModelTest, EraseInsideProbeRunKeepsDisplacedKeysReachable) {
+  // Capacity 8 in one shard keeps the index at 16 slots, so home bucket =
+  // low 4 hash bits. Each key gets its own (op, resource) slot so that
+  // EvictOperators erases exactly one chosen key.
+  EstimateCacheOptions options;
+  options.capacity = 8;
+  options.shards = 1;
+  EstimateCache cache(options);
+  constexpr uint64_t kMask = 15;
+  int next_slot = 0;
+  // The first key of its own slot whose home bucket is `home`.
+  const auto key_with_home = [&](uint64_t home) {
+    const OpType op = static_cast<OpType>(next_slot / kNumResources);
+    const Resource resource = static_cast<Resource>(next_slot % kNumResources);
+    ++next_slot;
+    for (int v = 0;; ++v) {
+      const EstimateCache::Key key = MakeSlotKey(op, resource, v);
+      if ((EstimateCacheTestPeer::Hash(key) & kMask) == home) return key;
+    }
+  };
+  const auto erase = [&](const EstimateCache::Key& key) {
+    cache.EvictOperators({{key.op, key.resource}});
+  };
+  const auto expect_hit = [&](const EstimateCache::Key& key, double want) {
+    double value = 0.0;
+    ASSERT_TRUE(cache.Lookup(key, &value));
+    EXPECT_EQ(value, want);
+  };
+
+  // One run 5..9: a(5) b(5) c(6) d(5) e(7), inserted in that order.
+  const EstimateCache::Key a = key_with_home(5);
+  const EstimateCache::Key b = key_with_home(5);
+  const EstimateCache::Key c = key_with_home(6);
+  const EstimateCache::Key d = key_with_home(5);
+  const EstimateCache::Key e = key_with_home(7);
+  // One run that wraps: p(15) q(15) r(0) s(15) fill 15, 0, 1, 2.
+  const EstimateCache::Key p = key_with_home(15);
+  const EstimateCache::Key q = key_with_home(15);
+  const EstimateCache::Key r = key_with_home(0);
+  const EstimateCache::Key s = key_with_home(15);
+  int value = 0;
+  for (const auto* key : {&a, &b, &c, &d, &e, &p, &q, &r}) {
+    cache.Insert(*key, ++value);
+  }
+  ASSERT_EQ(EstimateCacheTestPeer::IndexSlots(cache), 16u);
+
+  // Erasing b (slot 6) must shift c, d and e back one slot each.
+  erase(b);
+  ASSERT_NO_FATAL_FAILURE(expect_hit(a, 1));
+  ASSERT_NO_FATAL_FAILURE(expect_hit(c, 3));
+  ASSERT_NO_FATAL_FAILURE(expect_hit(d, 4));
+  ASSERT_NO_FATAL_FAILURE(expect_hit(e, 5));
+  double unused = 0.0;
+  EXPECT_FALSE(cache.Lookup(b, &unused));
+
+  // The freed slab entry is reused: no growth for the next insertion.
+  cache.Insert(s, 9);
+  EXPECT_EQ(EstimateCacheTestPeer::SlabEntries(cache), 8u);
+  // Erasing the head of the wrapped run (p, slot 15) shifts q, r and s
+  // across the wrap.
+  erase(p);
+  ASSERT_NO_FATAL_FAILURE(expect_hit(q, 7));
+  ASSERT_NO_FATAL_FAILURE(expect_hit(r, 8));
+  ASSERT_NO_FATAL_FAILURE(expect_hit(s, 9));
+  ASSERT_NO_FATAL_FAILURE(expect_hit(a, 1));
+  EXPECT_FALSE(cache.Lookup(p, &unused));
+  EXPECT_EQ(cache.stats().entries, 7u);
+  EXPECT_EQ(cache.stats().invalidated, 2u);
 }
 
 // ---------------------------------------------------------------------------
