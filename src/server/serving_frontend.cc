@@ -151,6 +151,17 @@ void ServingFrontend::HandleAsync(
     return;
   }
   options.tenant = routed.id;
+  if (options.priority == TaskPriority::kUrgent &&
+      requests.size() <= kUrgentChunkRows) {
+    // A small urgent probe is one chunk of work: answering it here costs
+    // less than the pool hop and the wake-pipe hop back, and it cannot be
+    // queued behind busy workers.
+    const std::vector<EstimateResult> results =
+        routed.service->EstimateInline(std::move(requests), options);
+    respond(JsonResponse(EstimateWireHttpStatus(results),
+                         FormatEstimateWireResponse(results)));
+    return;
+  }
   auto done = [respond = std::move(respond)](
                   std::vector<EstimateResult> results) {
     respond(JsonResponse(EstimateWireHttpStatus(results),
@@ -188,14 +199,10 @@ HttpResponse ServingFrontend::HandleEstimate(
 
 HttpResponse ServingFrontend::HandleObserve(
     const HttpRequest& request) const {
-  JsonValue body;
-  std::string error;
-  if (!JsonValue::Parse(request.body, &body, &error)) {
-    return JsonResponse(400, FormatWireError("malformed JSON: " + error));
-  }
   std::vector<ObserveWireRow> rows;
   std::string body_tenant;
-  if (!ParseObserveWireBatch(body, &rows, &error, &body_tenant)) {
+  std::string error;
+  if (!ParseObserveWireRequest(request.body, &rows, &body_tenant, &error)) {
     return JsonResponse(400, FormatWireError(error));
   }
   RoutedTenant routed;

@@ -59,10 +59,13 @@ class ServingFrontend {
 
   /// Event-loop form of Handle: /v1/estimate goes through the coalescer
   /// (when attached) or the service's asynchronous SubmitBatch, so the
-  /// calling I/O thread never blocks on estimation; `respond` is invoked
-  /// exactly once, possibly from another thread. Every other route is
-  /// answered inline via Handle(). The response bytes are identical to
-  /// Handle()'s for the same request.
+  /// calling I/O thread never waits on the pool; `respond` is invoked
+  /// exactly once, possibly from another thread. The exception is an
+  /// urgent request of at most kUrgentChunkRows rows: it is estimated on
+  /// the calling thread (EstimationService::EstimateInline) and answered
+  /// before this returns. Every other route is answered inline via
+  /// Handle(). The response bytes are identical to Handle()'s for the same
+  /// request.
   void HandleAsync(const HttpRequest& request,
                    std::function<void(HttpResponse)> respond) const;
 

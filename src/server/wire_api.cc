@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <string_view>
 
 namespace resest {
 namespace {
@@ -31,14 +32,15 @@ bool FindUnknownKey(const JsonValue& object,
   return false;
 }
 
-/// Single-pass scanner for the hot /v1/estimate body shape. It only ever
-/// accepts inputs the JsonValue tree path would accept with identical
-/// outputs; anything unusual — escaped strings, unknown or duplicate keys,
-/// wrong types, out-of-range feature counts, syntax errors — makes it bail
-/// so the caller can rerun the tree parser for the canonical verdict and
-/// error message. Numbers go through the same from_chars/strtod pair as
-/// JsonValue, so decoded doubles are bit-identical between the two paths.
-struct FastEstimateScanner {
+/// Single-pass scanner for the hot /v1/estimate and /v1/observe body
+/// shapes. It only ever accepts inputs the JsonValue tree path would accept
+/// with identical outputs; anything unusual — escaped strings, unknown or
+/// duplicate keys, wrong types, out-of-range feature counts, non-finite
+/// labels, syntax errors — makes it bail so the caller can rerun the tree
+/// parser for the canonical verdict and error message. Numbers go through
+/// the same from_chars/strtod pair as JsonValue, so decoded doubles are
+/// bit-identical between the two paths.
+struct FastWireScanner {
   const char* p;
   const char* end;
 
@@ -58,17 +60,32 @@ struct FastEstimateScanner {
     return false;
   }
 
-  /// A string literal with no escapes and no control bytes: [*b, *e) is the
+  /// After a member or element: true on ',' (another follows), false with
+  /// *closed set on `close`, false with *closed clear on anything else.
+  bool Separator(char close, bool* closed) {
+    SkipSpace();
+    *closed = false;
+    if (p < end && *p == ',') {
+      ++p;
+      return true;
+    }
+    if (p < end && *p == close) {
+      ++p;
+      *closed = true;
+    }
+    return false;
+  }
+
+  /// A string literal with no escapes and no control bytes; *out views its
   /// raw content. Escaped strings bail to the tree path.
-  bool RawString(const char** b, const char** e) {
+  bool RawString(std::string_view* out) {
     SkipSpace();
     if (p >= end || *p != '"') return false;
-    ++p;
-    *b = p;
+    const char* begin = ++p;
     while (p < end) {
       const unsigned char c = static_cast<unsigned char>(*p);
       if (c == '"') {
-        *e = p;
+        *out = std::string_view(begin, static_cast<size_t>(p - begin));
         ++p;
         return true;
       }
@@ -107,133 +124,137 @@ struct FastEstimateScanner {
     }
     return true;
   }
+
+  /// A non-empty object: hands each raw key to `on_member`, which must
+  /// consume the value (false bails). Empty objects bail too — every
+  /// object the wire bodies define has a required member, so the tree path
+  /// owns that diagnostic.
+  template <typename OnMember>
+  bool Object(OnMember on_member) {
+    if (!Eat('{')) return false;
+    bool closed;
+    do {
+      std::string_view key;
+      if (!RawString(&key) || !Eat(':') || !on_member(key)) return false;
+    } while (Separator('}', &closed));
+    return closed;
+  }
+
+  /// A non-empty array of elements, each consumed by `on_element`.
+  template <typename OnElement>
+  bool Array(OnElement on_element) {
+    if (!Eat('[')) return false;
+    bool closed;
+    do {
+      if (!on_element()) return false;
+    } while (Separator(']', &closed));
+    return closed;
+  }
+
+  /// The whole body was consumed (trailing whitespace aside).
+  bool AtEnd() {
+    SkipSpace();
+    return p == end;
+  }
 };
 
-bool SliceEquals(const char* b, const char* e, const char* literal) {
-  const size_t n = std::strlen(literal);
-  return static_cast<size_t>(e - b) == n && std::memcmp(b, literal, n) == 0;
+/// One `requests[i]` / `observations[i]` object: op, resource, features,
+/// plus `label` when `label` is non-null (a finite number; anything else
+/// bails).
+bool FastParseRow(FastWireScanner& s, OpType* op, Resource* resource,
+                  FeatureVector* features, double* label) {
+  bool seen_op = false;
+  bool seen_resource = false;
+  bool seen_features = false;
+  bool seen_label = false;
+  *features = FeatureVector{};
+  const bool ok = s.Object([&](std::string_view key) {
+    std::string_view value;
+    if (key == "op") {
+      if (seen_op) return false;
+      seen_op = true;
+      return s.RawString(&value) && ParseOpType(std::string(value), op);
+    }
+    if (key == "resource") {
+      if (seen_resource) return false;
+      seen_resource = true;
+      return s.RawString(&value) &&
+             ParseResource(std::string(value), resource);
+    }
+    if (key == "features") {
+      if (seen_features) return false;
+      seen_features = true;
+      if (!s.Eat('[')) return false;
+      s.SkipSpace();
+      if (s.p < s.end && *s.p == ']') {
+        ++s.p;
+        return true;
+      }
+      size_t count = 0;
+      bool closed;
+      do {
+        if (count >= static_cast<size_t>(kNumFeatures)) return false;
+        if (!s.Number(&(*features)[count])) return false;
+        ++count;
+      } while (s.Separator(']', &closed));
+      return closed;
+    }
+    if (key == "label" && label != nullptr) {
+      if (seen_label) return false;
+      seen_label = true;
+      return s.Number(label) && std::isfinite(*label);
+    }
+    return false;  // Unknown key: the tree path owns the diagnostic.
+  });
+  return ok && seen_op && seen_resource && seen_features &&
+         (label == nullptr || seen_label);
 }
 
-bool FastParseRequestItems(FastEstimateScanner& s,
-                           std::vector<EstimateRequest>* requests) {
-  if (!s.Eat('[')) return false;
-  requests->clear();
-  s.SkipSpace();
-  // An empty array is a wire error; let the tree path phrase it.
-  if (s.p < s.end && *s.p == ']') return false;
-  while (true) {
-    if (!s.Eat('{')) return false;
-    bool seen_op = false;
-    bool seen_resource = false;
-    bool seen_features = false;
-    OpType op = OpType::kTableScan;
-    Resource resource = Resource::kCpu;
-    FeatureVector features{};
-    while (true) {
-      const char* kb;
-      const char* ke;
-      if (!s.RawString(&kb, &ke)) return false;
-      if (!s.Eat(':')) return false;
-      if (SliceEquals(kb, ke, "op")) {
-        if (seen_op) return false;
-        seen_op = true;
-        const char* vb;
-        const char* ve;
-        if (!s.RawString(&vb, &ve)) return false;
-        if (!ParseOpType(std::string(vb, ve), &op)) return false;
-      } else if (SliceEquals(kb, ke, "resource")) {
-        if (seen_resource) return false;
-        seen_resource = true;
-        const char* vb;
-        const char* ve;
-        if (!s.RawString(&vb, &ve)) return false;
-        if (!ParseResource(std::string(vb, ve), &resource)) return false;
-      } else if (SliceEquals(kb, ke, "features")) {
-        if (seen_features) return false;
-        seen_features = true;
-        if (!s.Eat('[')) return false;
-        s.SkipSpace();
-        size_t count = 0;
-        if (s.p < s.end && *s.p == ']') {
-          ++s.p;
-        } else {
-          while (true) {
-            if (count >= static_cast<size_t>(kNumFeatures)) return false;
-            if (!s.Number(&features[count])) return false;
-            ++count;
-            s.SkipSpace();
-            if (s.p < s.end && *s.p == ',') {
-              ++s.p;
-              continue;
-            }
-            if (s.p < s.end && *s.p == ']') {
-              ++s.p;
-              break;
-            }
-            return false;
-          }
-        }
-      } else {
-        return false;  // Unknown key: the tree path owns the diagnostic.
-      }
-      s.SkipSpace();
-      if (s.p < s.end && *s.p == ',') {
-        ++s.p;
-        continue;
-      }
-      if (s.p < s.end && *s.p == '}') {
-        ++s.p;
-        break;
-      }
-      return false;
-    }
-    if (!seen_op || !seen_resource || !seen_features) return false;
-    requests->push_back(EstimateRequest::ForOperator(op, features, resource));
-    s.SkipSpace();
-    if (s.p < s.end && *s.p == ',') {
-      ++s.p;
-      continue;
-    }
-    if (s.p < s.end && *s.p == ']') {
-      ++s.p;
-      return true;
-    }
-    return false;
-  }
+/// Shared by both bodies' top level: the optional "tenant" string.
+bool FastParseTenant(FastWireScanner& s, bool* seen, std::string* tenant) {
+  if (*seen) return false;
+  *seen = true;
+  std::string_view value;
+  if (!s.RawString(&value)) return false;
+  if (tenant != nullptr) tenant->assign(value);
+  return true;
 }
 
 bool TryFastEstimateParse(const std::string& body,
                           std::vector<EstimateRequest>* requests,
                           SubmitOptions* options, std::string* tenant) {
-  FastEstimateScanner s{body.data(), body.data() + body.size()};
-  if (!s.Eat('{')) return false;
+  FastWireScanner s{body.data(), body.data() + body.size()};
   *options = SubmitOptions{};
   if (tenant != nullptr) tenant->clear();
+  requests->clear();
   bool seen_priority = false;
   bool seen_deadline = false;
   bool seen_tenant = false;
   bool seen_requests = false;
-  s.SkipSpace();
-  if (s.p >= s.end || *s.p == '}') return false;  // Missing "requests".
-  while (true) {
-    const char* kb;
-    const char* ke;
-    if (!s.RawString(&kb, &ke)) return false;
-    if (!s.Eat(':')) return false;
-    if (SliceEquals(kb, ke, "requests")) {
+  const bool ok = s.Object([&](std::string_view key) {
+    if (key == "requests") {
       if (seen_requests) return false;
       seen_requests = true;
-      if (!FastParseRequestItems(s, requests)) return false;
-    } else if (SliceEquals(kb, ke, "priority")) {
+      return s.Array([&]() {
+        OpType op = OpType::kTableScan;
+        Resource resource = Resource::kCpu;
+        FeatureVector features;
+        if (!FastParseRow(s, &op, &resource, &features, nullptr)) {
+          return false;
+        }
+        requests->push_back(
+            EstimateRequest::ForOperator(op, features, resource));
+        return true;
+      });
+    }
+    if (key == "priority") {
       if (seen_priority) return false;
       seen_priority = true;
-      const char* vb;
-      const char* ve;
-      if (!s.RawString(&vb, &ve)) return false;
-      if (!ParseTaskPriority(std::string(vb, ve), &options->priority)) {
-        return false;
-      }
-    } else if (SliceEquals(kb, ke, "deadline_ms")) {
+      std::string_view value;
+      return s.RawString(&value) &&
+             ParseTaskPriority(std::string(value), &options->priority);
+    }
+    if (key == "deadline_ms") {
       if (seen_deadline) return false;
       seen_deadline = true;
       double ms = 0.0;
@@ -242,30 +263,40 @@ bool TryFastEstimateParse(const std::string& body,
       options->deadline = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(
                               static_cast<int64_t>(ms * 1000.0));
-    } else if (SliceEquals(kb, ke, "tenant")) {
-      if (seen_tenant) return false;
-      seen_tenant = true;
-      const char* vb;
-      const char* ve;
-      if (!s.RawString(&vb, &ve)) return false;
-      if (tenant != nullptr) tenant->assign(vb, ve);
-    } else {
-      return false;
+      return true;
     }
-    s.SkipSpace();
-    if (s.p < s.end && *s.p == ',') {
-      ++s.p;
-      continue;
-    }
-    if (s.p < s.end && *s.p == '}') {
-      ++s.p;
-      break;
-    }
+    if (key == "tenant") return FastParseTenant(s, &seen_tenant, tenant);
     return false;
-  }
-  s.SkipSpace();
-  if (s.p != s.end) return false;  // Trailing characters.
-  return seen_requests;
+  });
+  return ok && seen_requests && s.AtEnd();
+}
+
+bool TryFastObserveParse(const std::string& body,
+                         std::vector<ObserveWireRow>* rows,
+                         std::string* tenant) {
+  FastWireScanner s{body.data(), body.data() + body.size()};
+  if (tenant != nullptr) tenant->clear();
+  rows->clear();
+  bool seen_tenant = false;
+  bool seen_observations = false;
+  const bool ok = s.Object([&](std::string_view key) {
+    if (key == "observations") {
+      if (seen_observations) return false;
+      seen_observations = true;
+      return s.Array([&]() {
+        ObserveWireRow row;
+        if (!FastParseRow(s, &row.op, &row.resource, &row.features,
+                          &row.label)) {
+          return false;
+        }
+        rows->push_back(row);
+        return true;
+      });
+    }
+    if (key == "tenant") return FastParseTenant(s, &seen_tenant, tenant);
+    return false;
+  });
+  return ok && seen_observations && s.AtEnd();
 }
 
 }  // namespace
@@ -500,6 +531,19 @@ bool ParseObserveWireBatch(const JsonValue& body,
     rows->push_back(row);
   }
   return true;
+}
+
+bool ParseObserveWireRequest(const std::string& body,
+                             std::vector<ObserveWireRow>* rows,
+                             std::string* tenant, std::string* error) {
+  if (TryFastObserveParse(body, rows, tenant)) return true;
+  JsonValue tree;
+  std::string syntax_error;
+  if (!JsonValue::Parse(body, &tree, &syntax_error)) {
+    *error = "malformed JSON: " + syntax_error;
+    return false;
+  }
+  return ParseObserveWireBatch(tree, rows, error, tenant);
 }
 
 std::string FormatObserveWireResponse(size_t accepted,

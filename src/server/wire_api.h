@@ -112,6 +112,16 @@ bool ParseObserveWireBatch(const JsonValue& body,
                            std::string* error,
                            std::string* tenant = nullptr);
 
+/// Parses a raw POST /v1/observe body end to end: the /v1/observe twin of
+/// ParseEstimateWireRequest. The hot shape is decoded by the same
+/// single-pass scanner (its row parser takes "label" as one more key);
+/// anything else falls back to JsonValue::Parse + ParseObserveWireBatch, so
+/// verdicts and error messages are identical to the tree path (JSON syntax
+/// errors prefixed "malformed JSON: ").
+bool ParseObserveWireRequest(const std::string& body,
+                             std::vector<ObserveWireRow>* rows,
+                             std::string* tenant, std::string* error);
+
 /// Formats the response body `{"accepted": N, "model_version": V}`.
 std::string FormatObserveWireResponse(size_t accepted, uint64_t model_version);
 

@@ -1,29 +1,37 @@
 // Cross-request micro-batch coalescing for the serving path: concurrent
-// /v1/estimate submissions arriving within a bounded window are merged into
-// one EstimationService::SubmitBatch call, so the compiled-forest lockstep
-// kernels and batch-level dedup see wide batches even when every wire
-// client sends small ones. Results are demuxed back per submission — each
-// caller receives exactly its own slice, in its own request order, so the
-// wire responses are bit-identical to solo submissions (estimation is
+// /v1/estimate submissions that arrive while the service is busy are merged
+// into one EstimationService::SubmitBatch call, so the compiled-forest
+// lockstep kernel and batch-level dedup see wide batches even when every
+// wire client sends small ones. Results are demuxed back per submission —
+// each caller receives exactly its own slice, in its own request order, so
+// the wire responses are bit-identical to solo submissions (estimation is
 // row-independent: only *which requests share a sweep* changes, never any
 // request's value or status).
 //
-// Scheduling semantics:
-//  - One bucket per TaskPriority; a submission only ever merges with its
-//    own priority, and the merged batch is submitted at that priority.
+// Scheduling semantics (self-clocked: there is no timer):
+//  - One bucket per TaskPriority (a "lane"); a submission only ever merges
+//    with its own priority, and the merged batch is submitted at that
+//    priority.
+//  - A submission goes to the service at once while fewer of its lane's
+//    batches are in flight than the service has pool workers — an idle
+//    worker gains nothing from a wait. Only when the lane is saturated do
+//    arrivals collect in the bucket; the demux callback of the lane's next
+//    completing batch submits them as one merged batch. Invariant: a
+//    non-empty bucket implies at least one in-flight batch of its lane, so
+//    held rows are never stranded.
 //  - Submissions never merge across tenants (SubmitOptions::tenant): a
 //    bucket holds one tenant's rows; a different tenant's arrival flushes
 //    the pending bucket first. Multi-tenant servers run one coalescer per
 //    tenant anyway — this guard keeps isolation even if one is shared.
 //  - kUrgent submissions never wait: they flush their bucket immediately
 //    on arrival (merging opportunistically with any urgent rows that raced
-//    in), so an urgent probe cannot be held behind a bulk window.
+//    in), whatever the lane's load.
 //  - Submissions carrying a deadline bypass coalescing entirely and are
 //    forwarded solo with their exact SubmitOptions — deadline expiry stays
 //    per-submission, never shared with unrelated requests.
-//  - A bucket flushes when its window expires, when it reaches max_rows
-//    (capped by the service's max_batch_size, so a merged batch can never
-//    be rejected as oversized when its parts were not), or at drain.
+//  - A held bucket also flushes when it reaches max_rows (capped by the
+//    service's max_batch_size, so a merged batch can never be rejected as
+//    oversized when its parts were not), or at drain.
 //
 // Thread-safe; the service must outlive the coalescer. The destructor
 // flushes pending buckets and blocks until every demux callback has run,
@@ -36,7 +44,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "src/serving/estimation_service.h"
@@ -44,11 +52,9 @@
 namespace resest {
 
 struct CoalescerOptions {
-  /// Max time a submission waits for merge partners. 0 disables coalescing
+  /// Rows that flush a held bucket before a completion releases it;
+  /// clamped to the service's max_batch_size. 0 or 1 disables coalescing
   /// (every submission is forwarded solo).
-  uint32_t window_us = 100;
-  /// Rows that force a flush before the window expires; clamped to the
-  /// service's max_batch_size. 0 disables coalescing.
   size_t max_rows = 1024;
 };
 
@@ -64,7 +70,8 @@ struct CoalescerStats {
   uint64_t batches = 0;       ///< Merged batches sent to the service.
   uint64_t coalesced_rows = 0;  ///< Rows carried by those batches.
   // Flush-trigger breakdown (sums to `batches`).
-  uint64_t flush_window = 0;
+  uint64_t flush_immediate = 0;  ///< Sent on arrival: a worker was free.
+  uint64_t flush_released = 0;   ///< Held rows released by a completion.
   uint64_t flush_full = 0;
   uint64_t flush_urgent = 0;
   uint64_t flush_drain = 0;
@@ -82,8 +89,7 @@ struct CoalescerStats {
 
 class BatchCoalescer {
  public:
-  /// `service` must outlive the coalescer. Spawns the window-flusher thread
-  /// (none when the options disable coalescing).
+  /// `service` must outlive the coalescer.
   BatchCoalescer(const EstimationService* service,
                  CoalescerOptions options = {});
   ~BatchCoalescer();
@@ -91,15 +97,14 @@ class BatchCoalescer {
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  /// True when submissions can actually merge (window and max_rows both
-  /// non-zero).
+  /// True when submissions can actually merge (max_rows above 1).
   bool enabled() const { return enabled_; }
 
   /// Submits one group of rows that must be answered together; `done`
   /// receives exactly rows.size() results in row order, exactly once,
   /// possibly before this returns (degenerate batches complete inline).
   /// Deadline-carrying options, empty groups, and groups at or above the
-  /// effective max bypass the window and are forwarded solo.
+  /// effective max bypass the buckets and are forwarded solo.
   void Submit(std::vector<EstimateRequest> rows, const SubmitOptions& options,
               BatchCallback done);
 
@@ -119,46 +124,48 @@ class BatchCoalescer {
     size_t count = 0;
     std::chrono::steady_clock::time_point enqueued;
   };
+  /// One lane: the rows held while it is saturated, plus its in-flight
+  /// count.
   struct Bucket {
     std::vector<EstimateRequest> rows;
     std::vector<Entry> entries;
     /// Tenant owning the pending rows (set by the first entry); arrivals
     /// from any other tenant flush the bucket before starting their own.
     std::string tenant;
-    /// Flush-at time, armed by the bucket's first entry.
-    std::chrono::steady_clock::time_point deadline;
+    /// This lane's merged batches whose demux has not finished.
+    size_t inflight = 0;
   };
-  enum class FlushReason { kWindow, kFull, kUrgent, kDrain };
+  enum class FlushReason { kImmediate, kReleased, kFull, kUrgent, kDrain };
   /// A bucket's content detached under the lock, submitted outside it.
   struct PendingFlush {
     std::vector<EstimateRequest> rows;
     std::vector<Entry> entries;
     std::string tenant;
     TaskPriority priority = TaskPriority::kNormal;
-    FlushReason reason = FlushReason::kWindow;
   };
 
-  /// Moves the bucket's content into a PendingFlush (caller holds mu_).
-  PendingFlush TakeLocked(size_t lane, FlushReason reason);
-  /// Records stats, submits to the service, demuxes on completion. Must be
-  /// called WITHOUT mu_ held (degenerate batches complete inline, and the
-  /// completion callback takes the lock).
+  /// Moves the (non-empty) bucket's content into a PendingFlush, counts it
+  /// in flight and records its stats; the caller holds mu_.
+  PendingFlush TakeLocked(size_t lane, FlushReason reason,
+                          std::chrono::steady_clock::time_point now);
+  /// Submits to the service and demuxes on completion; the demux callback
+  /// releases whatever the lane held meanwhile. Must be called WITHOUT mu_
+  /// held (degenerate batches complete inline, and the completion callback
+  /// takes the lock).
   void SubmitMerged(PendingFlush flush);
-  void FlusherMain();
 
   const EstimationService* service_;
   CoalescerOptions options_;
   bool enabled_ = false;
   size_t effective_max_rows_ = 0;
+  /// In-flight batches per lane below which arrivals are sent at once: the
+  /// service's pool worker count.
+  size_t workers_ = 1;
 
   mutable std::mutex mu_;
-  std::condition_variable flusher_cv_;
   std::condition_variable idle_cv_;
   std::array<Bucket, kNumTaskPriorities> buckets_;
   CoalescerStats stats_;
-  size_t inflight_ = 0;  ///< Merged batches whose demux has not finished.
-  bool stop_ = false;
-  std::thread flusher_;
 };
 
 }  // namespace resest

@@ -87,6 +87,9 @@ struct EstimationService::BatchState {
   /// Passed the admission checks (non-empty, within max_batch_size); only
   /// admitted batches count toward per-priority lane stats.
   bool admitted = false;
+  /// Registered with the chunk scheduler (LaunchBatch); inline batches
+  /// never are, so their completion skips the scheduler lock.
+  bool scheduled = false;
 
   TaskPriority priority = TaskPriority::kNormal;
   bool has_deadline = false;
@@ -104,6 +107,9 @@ struct EstimationService::BatchState {
 EstimationService::EstimationService(const ModelRegistry* registry,
                                      ThreadPool* pool, ServiceOptions options)
     : registry_(registry), pool_(pool), options_(std::move(options)) {
+  const size_t workers = std::max<size_t>(1, pool_->num_threads());
+  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
+  oversubscription_ = (workers + hw - 1) / hw;
   if (options_.enable_cache) {
     EstimateCacheOptions cache_options;
     cache_options.capacity = options_.cache_capacity;
@@ -529,7 +535,7 @@ size_t EstimationService::EffectiveChunkSize(size_t batch_size,
   // curve while still splitting a 2k-request batch 30+ ways.
   size_t cap = 64;
   if (priority == TaskPriority::kUrgent) {
-    cap = 8;
+    cap = kUrgentChunkRows;
   } else if (priority == TaskPriority::kBulk) {
     cap = 256;
   }
@@ -543,13 +549,8 @@ size_t EstimationService::EffectiveChunkSize(size_t batch_size,
   // oversubscription factor — a no-op when the pool fits the hardware — with
   // a floor that keeps the dedup/sweep width past the knee where batching
   // stops paying.
-  if (priority != TaskPriority::kUrgent) {
-    const size_t hw =
-        std::max<size_t>(1, std::thread::hardware_concurrency());
-    const size_t oversubscription = (workers + hw - 1) / hw;
-    if (oversubscription > 1) {
-      cap = std::max<size_t>(32, cap / oversubscription);
-    }
+  if (priority != TaskPriority::kUrgent && oversubscription_ > 1) {
+    cap = std::max<size_t>(32, cap / oversubscription_);
   }
   return std::max<size_t>(1, std::min(chunk, cap));
 }
@@ -639,7 +640,7 @@ bool EstimationService::RunOneChunk(
   // acq_rel: the final decrement observes every other chunk's writes, so
   // the finisher publishes fully-written results.
   if (batch.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    UnscheduleBatch(&batch);
+    if (batch.scheduled) UnscheduleBatch(&batch);
     FinishBatch(&batch);
   }
   return true;
@@ -765,6 +766,7 @@ void EstimationService::LaunchBatch(
     FinishBatch(state.get());
     return;
   }
+  state->scheduled = true;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     const size_t p = static_cast<size_t>(state->priority);
@@ -829,6 +831,24 @@ void EstimationService::SubmitBatch(std::vector<EstimateRequest> requests,
   auto state = MakeBatch(std::move(requests), submit_options);
   state->callback = std::move(done);
   LaunchBatch(state);
+}
+
+std::vector<EstimateResult> EstimationService::EstimateInline(
+    std::vector<EstimateRequest> requests,
+    const SubmitOptions& submit_options) const {
+  auto state = MakeBatch(std::move(requests), submit_options);
+  if (state->degenerate) {
+    FinishBatch(state.get());
+  } else {
+    // One chunk: nothing else can run it, so splitting would only repeat
+    // the per-chunk setup and narrow the sweep.
+    state->chunk_size = state->work_items;
+    state->num_chunks = 1;
+    state->chunks_left.store(1, std::memory_order_relaxed);
+    RunOneChunk(state);
+  }
+  // No promise or callback: FinishBatch left the results in place.
+  return std::move(state->results);
 }
 
 std::future<EstimateResult> EstimationService::SubmitEstimate(

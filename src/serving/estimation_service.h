@@ -148,6 +148,13 @@ struct ServiceOptions {
   std::function<void(TaskPriority priority, bool expired)> chunk_claim_hook;
 };
 
+/// Largest chunk an adaptively sized urgent batch is split into (the
+/// urgent lane cap of EffectiveChunkSize). One chunk is the unit a single
+/// thread runs without a preemption point, so it is also the largest urgent
+/// batch EstimateInline is meant for: the HTTP front end answers urgent
+/// requests of at most this many rows on its I/O thread.
+inline constexpr size_t kUrgentChunkRows = 8;
+
 /// Latency histogram: bucket `i` counts batches that completed in under
 /// 2^i microseconds (the last bucket also absorbs anything slower). Coarse
 /// by design — enough for a p99 trend line, cheap enough for the hot path.
@@ -265,6 +272,16 @@ class EstimationService {
   void SubmitBatch(std::vector<EstimateRequest> requests, BatchCallback done,
                    const SubmitOptions& submit_options = {}) const;
 
+  /// Runs a batch to completion on the calling thread, as one chunk: no
+  /// pool helpers, no scheduler queue, no cross-thread wake-up. Same
+  /// admission, deadline, caching, dedup and stats as EstimateBatch, and
+  /// bit-identical results. Meant for small latency-critical batches
+  /// (urgent probes of at most kUrgentChunkRows rows answered on an I/O
+  /// thread); a large batch would hold the caller for its whole duration.
+  std::vector<EstimateResult> EstimateInline(
+      std::vector<EstimateRequest> requests,
+      const SubmitOptions& submit_options = {}) const;
+
   /// Non-blocking single-request submission (one pool hop).
   std::future<EstimateResult> SubmitEstimate(
       const EstimateRequest& request,
@@ -309,6 +326,8 @@ class EstimationService {
   /// with an empty `shards` vector when the cache is disabled.
   EstimateCacheStats cache_stats() const;
   const ServiceOptions& options() const { return options_; }
+  /// Pool worker threads batches fan out over.
+  size_t num_workers() const { return pool_->num_threads(); }
 
  private:
   struct BatchState;
@@ -383,6 +402,9 @@ class EstimationService {
   const ModelRegistry* registry_;
   ThreadPool* pool_;
   ServiceOptions options_;
+  /// Pool threads per hardware thread, rounded up (>= 1); read once, since
+  /// hardware_concurrency() reads sysfs on every call.
+  size_t oversubscription_ = 1;
   mutable std::unique_ptr<EstimateCache> cache_;  ///< Null when disabled.
 
   mutable std::atomic<uint64_t> requests_{0};

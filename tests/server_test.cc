@@ -6,6 +6,7 @@
 // that SIGTERM drains the real binary with zero dropped responses.
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -566,6 +568,149 @@ TEST(WireApiTest, FastPathParserMatchesTreeParserOnRejectsAndFallbacks) {
   ExpectWireParseEquivalent(long_features);
 }
 
+// The /v1/observe twin: ParseObserveWireRequest must be observationally
+// equivalent to JsonValue::Parse + ParseObserveWireBatch.
+void ExpectObserveParseEquivalent(const std::string& body) {
+  std::vector<ObserveWireRow> fast_rows;
+  std::string fast_tenant = "stale";
+  std::string fast_error;
+  const bool fast_ok =
+      ParseObserveWireRequest(body, &fast_rows, &fast_tenant, &fast_error);
+
+  std::vector<ObserveWireRow> tree_rows;
+  std::string tree_tenant = "stale";
+  std::string tree_error;
+  bool tree_ok = false;
+  JsonValue tree;
+  std::string syntax_error;
+  if (!JsonValue::Parse(body, &tree, &syntax_error)) {
+    tree_error = "malformed JSON: " + syntax_error;
+  } else {
+    tree_ok = ParseObserveWireBatch(tree, &tree_rows, &tree_error,
+                                    &tree_tenant);
+  }
+
+  EXPECT_EQ(fast_ok, tree_ok) << body;
+  if (!fast_ok || !tree_ok) {
+    EXPECT_EQ(fast_error, tree_error) << body;
+    return;
+  }
+  EXPECT_EQ(fast_tenant, tree_tenant) << body;
+  ASSERT_EQ(fast_rows.size(), tree_rows.size()) << body;
+  for (size_t i = 0; i < fast_rows.size(); ++i) {
+    EXPECT_EQ(fast_rows[i].op, tree_rows[i].op) << body;
+    EXPECT_EQ(fast_rows[i].resource, tree_rows[i].resource) << body;
+    EXPECT_EQ(std::memcmp(fast_rows[i].features.data(),
+                          tree_rows[i].features.data(),
+                          sizeof(FeatureVector)),
+              0)
+        << body << " row " << i;
+    EXPECT_EQ(std::memcmp(&fast_rows[i].label, &tree_rows[i].label,
+                          sizeof(double)),
+              0)
+        << body << " row " << i;
+  }
+}
+
+std::string ObserveBody(int rows, const std::string& tenant) {
+  std::string body = "{";
+  if (!tenant.empty()) body += "\"tenant\":\"" + tenant + "\",";
+  body += "\"observations\":[";
+  for (int i = 0; i < rows; ++i) {
+    if (i > 0) body += ',';
+    body += "{\"op\":\"";
+    body += OpTypeName(static_cast<OpType>(i % kNumOpTypes));
+    body += "\",\"resource\":\"";
+    body += i % 2 == 0 ? "CPU" : "IO";
+    body += "\",\"features\":[";
+    const FeatureVector features = TestFeatures(i);
+    for (int f = 0; f < kNumFeatures; ++f) {
+      if (f > 0) body += ',';
+      AppendJsonNumber(features[f], &body);
+    }
+    body += "],\"label\":";
+    AppendJsonNumber(1.5 * i + 0.25, &body);
+    body += '}';
+  }
+  body += "]}";
+  return body;
+}
+
+TEST(WireApiTest, ObserveScannerMatchesTreeParserOnHotShapes) {
+  ExpectObserveParseEquivalent(ObserveBody(1, ""));
+  ExpectObserveParseEquivalent(ObserveBody(64, "alpha"));
+  ExpectObserveParseEquivalent(
+      " { \"observations\" : [ { \"label\" : -0.0 , \"op\" : \"Sort\" , "
+      "\"features\" : [ ] , \"resource\" : \"io\" } ] , "
+      "\"tenant\" : \"t-1.x_2\" } ");
+  ExpectObserveParseEquivalent(
+      "{\"observations\":[{\"op\":\"HashJoin\",\"resource\":\"CPU\","
+      "\"features\":[1e-308,2.5e17,-0.0,3],\"label\":1e308}]}");
+}
+
+TEST(WireApiTest, ObserveScannerMatchesTreeParserOnRejectsAndFallbacks) {
+  const char* bodies[] = {
+      // Syntax errors: identical "malformed JSON: ..." diagnostics.
+      "", "{", "not json", "{\"observations\":[}",
+      "{\"observations\":[]} trailing",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":01}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":}]}",
+      // Wire-contract errors (tree-path diagnostics, byte for byte).
+      "[]", "{}", "{\"rows\":[]}", "{\"observations\":[]}",
+      "{\"observations\":3}", "{\"observations\":[5]}",
+      "{\"observations\":[{}]}",
+      "{\"tenant\":9,\"observations\":[{\"op\":\"Sort\","
+      "\"resource\":\"CPU\",\"features\":[],\"label\":1}]}",
+      // Missing, non-finite and string labels.
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1]}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":1e999}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":-1e999}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":\"5\"}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":null}]}",
+      // Bad op, resource and features.
+      "{\"observations\":[{\"op\":\"NoSuchOp\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":1}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"RAM\","
+      "\"features\":[1],\"label\":1}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"label\":1}]}",
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[true],\"label\":1}]}",
+      // Unknown keys, at the top level and in a row.
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":1,\"extra\":1}]}",
+      "{\"priority\":\"urgent\",\"observations\":[{\"op\":\"Sort\","
+      "\"resource\":\"CPU\",\"features\":[1],\"label\":1}]}",
+      // Valid JSON the scanner bails on (duplicate keys, escapes): must
+      // still parse identically via the tree.
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":1,\"label\":2}]}",
+      "{\"tenant\":\"a\",\"tenant\":\"b\",\"observations\":[{\"op\":"
+      "\"Sort\",\"resource\":\"CPU\",\"features\":[1],\"label\":1}]}",
+      "{\"observations\":[{\"op\":\"So\\u0072t\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":1}]}",
+      // A later row's error is reported at its own index.
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"features\":[1],\"label\":1},{\"op\":\"Sort\","
+      "\"resource\":\"CPU\",\"features\":[1],\"label\":1e999}]}",
+  };
+  for (const char* body : bodies) ExpectObserveParseEquivalent(body);
+
+  std::string long_features =
+      "{\"observations\":[{\"op\":\"Sort\",\"resource\":\"CPU\","
+      "\"label\":1,\"features\":[0";
+  for (int i = 0; i < kNumFeatures; ++i) long_features += ",0";
+  long_features += "]}]}";
+  ExpectObserveParseEquivalent(long_features);
+}
+
 // ---------------------------------------------------------------------------
 // ShutdownLatch (programmatic paths; signal delivery is covered by the
 // subprocess SIGTERM test below)
@@ -595,6 +740,9 @@ TEST(ShutdownLatchTest, TriggerTripsWaitersAndResetRearms) {
 /// request lines).
 struct RawConn {
   int fd = -1;
+  /// Bytes received past the last response read: pipelined responses can
+  /// arrive together in one recv.
+  std::string buffer;
 
   ~RawConn() {
     if (fd >= 0) ::close(fd);
@@ -626,7 +774,6 @@ struct RawConn {
   /// Reads one full HTTP response (headers + Content-Length body); returns
   /// the status code, or 0 on transport failure.
   int ReadResponse(std::string* body = nullptr) {
-    std::string buffer;
     size_t header_end;
     while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
       char chunk[4096];
@@ -651,6 +798,7 @@ struct RawConn {
     if (body != nullptr) {
       *body = buffer.substr(header_end + 4, content_length);
     }
+    buffer.erase(0, header_end + 4 + content_length);
     return status;
   }
 };
@@ -819,6 +967,51 @@ TEST(HttpServerTest, StopServesBytesDeliveredBeforeDrainBegan) {
 // Serving front end integration: one trained model shared by the suite.
 // ---------------------------------------------------------------------------
 
+/// Parks every chunk claimed at a non-urgent priority until Open(): installed
+/// as a service's chunk_claim_hook, it saturates the pool deterministically.
+/// Urgent chunks pass, so a request answered on the calling thread is never
+/// held by the gate. Must outlive the service it is hooked into.
+class ChunkGate {
+ public:
+  std::function<void(TaskPriority, bool)> Hook() {
+    return [this](TaskPriority priority, bool) {
+      if (priority != TaskPriority::kUrgent) Park();
+    };
+  }
+  /// Waits (bounded) until `n` threads are parked.
+  bool WaitParked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&]() { return parked_ >= n; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&]() { return open_; });
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  int parked_ = 0;
+};
+
+/// Opens a ChunkGate when it leaves scope. Declared after everything that
+/// waits for in-flight batches, it keeps a failed assertion from leaving
+/// workers parked while those objects are torn down.
+struct GateOpener {
+  ChunkGate* gate;
+  ~GateOpener() { gate->Open(); }
+};
+
 class ServerFrontendTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -912,8 +1105,9 @@ class ServerFrontendTest : public ::testing::Test {
   /// Shared body for the coalesced-loopback bit-identity test, run against
   /// both poller backends: concurrent keep-alive clients with mixed
   /// priorities (plus one deadline-carrying stream, which bypasses the
-  /// coalescer) through the async server must produce responses
-  /// byte-identical to the synchronous solo path.
+  /// coalescer, and a small urgent stream, which is answered on the I/O
+  /// loop without entering it) through the async server must produce
+  /// responses byte-identical to the synchronous solo path.
   void RunCoalescedLoopback(bool use_poll) {
     BatchCoalescer coalescer(service_.get(), {});
     frontend_->set_coalescer(&coalescer);
@@ -928,10 +1122,13 @@ class ServerFrontendTest : public ::testing::Test {
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
 
-    const char* priorities[] = {"urgent", "normal", "bulk", "normal"};
+    // Stream 0 (6 urgent rows) fits one urgent chunk and is answered
+    // inline; stream 4 (10 urgent rows) does not and takes the coalescer.
+    const char* priorities[] = {"urgent", "normal", "bulk", "normal",
+                                "urgent"};
     std::vector<std::string> bodies;
     std::vector<std::string> expected;
-    for (int c = 0; c < 4; ++c) {
+    for (int c = 0; c < 5; ++c) {
       const std::string body =
           WireBatchBody(OperatorRequests(6 + c, c * 13), priorities[c],
                         /*deadline_ms=*/c == 3 ? 5000.0 : 0.0);
@@ -963,11 +1160,21 @@ class ServerFrontendTest : public ::testing::Test {
     EXPECT_EQ(failures.load(), 0);
 
     const CoalescerStats stats = coalescer.stats();
+    // Every stream but the inline urgent one reached the coalescer.
     EXPECT_EQ(stats.submissions + stats.passthrough,
-              static_cast<uint64_t>(bodies.size()) * kRounds);
-    // The deadline stream forwarded solo every round; urgent never waited.
+              static_cast<uint64_t>(bodies.size() - 1) * kRounds);
+    // The deadline stream forwarded solo every round; urgent never waited:
+    // the large urgent stream flushed on arrival, and the small one was
+    // answered inline. The urgent lane ran one batch per urgent request
+    // plus the two solo-path batches behind `expected`.
     EXPECT_GE(stats.passthrough, static_cast<uint64_t>(kRounds));
     EXPECT_GE(stats.flush_urgent, static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(service_->stats().ForPriority(TaskPriority::kUrgent).batches,
+              static_cast<uint64_t>(2 * kRounds + 2));
+    const uint64_t triggers = stats.flush_immediate + stats.flush_released +
+                        stats.flush_full + stats.flush_urgent +
+                        stats.flush_drain;
+    EXPECT_EQ(triggers, stats.batches);
 
     // The scrape exposes the connection counters and coalescer families.
     HttpClient scraper;
@@ -1233,21 +1440,39 @@ TEST_F(ServerFrontendTest, CoalescedResponsesBitIdenticalToSoloPoll) {
   RunCoalescedLoopback(/*use_poll=*/true);
 }
 
-TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitForBulkCoalesceWindow) {
-  // An absurdly long window makes any accidental wait unmissable: a bulk
-  // request opens the window, and an urgent request posted inside it must
-  // flush immediately rather than ride the bulk deadline.
-  CoalescerOptions copts;
-  copts.window_us = 1000 * 1000;
-  BatchCoalescer coalescer(service_.get(), copts);
-  frontend_->set_coalescer(&coalescer);
+TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindHeldBulkRows) {
+  // Every pool worker is parked inside a bulk chunk, so the bulk lane is
+  // saturated and a bulk request posted now is held in the coalescer. An
+  // urgent request posted meanwhile must be answered at once rather than
+  // ride behind the held rows or the parked workers.
+  ChunkGate gate;
+  ThreadPool pool(2);
+  ServiceOptions sopts;
+  sopts.chunk_claim_hook = gate.Hook();
+  EstimationService service(registry_.get(), &pool, sopts);
+  ServingFrontend frontend(&service, registry_.get(), "default");
+  BatchCoalescer coalescer(&service, {});
+  frontend.set_coalescer(&coalescer);
   HttpServer server(
-      [this](const HttpRequest& r, HttpResponseSender respond) {
-        frontend_->HandleAsync(r, std::move(respond));
+      [&frontend](const HttpRequest& r, HttpResponseSender respond) {
+        frontend.HandleAsync(r, std::move(respond));
       },
       FastPollOptions());
+  GateOpener opener{&gate};
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
+
+  SubmitOptions bulk;
+  bulk.priority = TaskPriority::kBulk;
+  std::vector<std::future<void>> saturating;
+  for (int w = 0; w < 2; ++w) {
+    auto done = std::make_shared<std::promise<void>>();
+    saturating.push_back(done->get_future());
+    coalescer.Submit(
+        OperatorRequests(4, 40 + w), bulk,
+        [done](std::vector<EstimateResult>) { done->set_value(); });
+  }
+  ASSERT_TRUE(gate.WaitParked(2));
 
   const std::string bulk_body = WireBatchBody(OperatorRequests(7, 3), "bulk");
   const std::string bulk_expected =
@@ -1267,12 +1492,13 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitForBulkCoalesceWindow) {
     EXPECT_EQ(response.status, 200);
     EXPECT_EQ(response.body, bulk_expected);
   });
-  // Wait until the bulk rows are actually parked in the window.
-  for (int spin = 0; spin < 2000 && coalescer.stats().submissions == 0;
+  // Wait until the bulk rows are actually held in the bucket.
+  for (int spin = 0; spin < 2000 && coalescer.stats().submissions < 3;
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(coalescer.stats().submissions, 1u);
+  ASSERT_EQ(coalescer.stats().submissions, 3u);
+  EXPECT_EQ(coalescer.stats().batches, 2u) << "held rows were sent";
 
   HttpClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
@@ -1286,23 +1512,38 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitForBulkCoalesceWindow) {
           .count();
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body, urgent_expected);
-  EXPECT_LT(elapsed_ms, 500.0) << "urgent waited on the bulk window";
+  EXPECT_LT(elapsed_ms, 500.0) << "urgent waited behind the bulk lane";
+  // Answered on the I/O loop: it never entered the coalescer.
+  EXPECT_EQ(coalescer.stats().submissions, 3u);
+  EXPECT_EQ(service.stats().ForPriority(TaskPriority::kUrgent).batches, 1u);
 
+  gate.Open();
   bulk_client.join();
-  const CoalescerStats stats = coalescer.stats();
+  for (auto& f : saturating) f.get();
+  CoalescerStats stats = coalescer.stats();
+  // The held bulk rows went out when a parked batch completed.
+  EXPECT_EQ(stats.flush_released, 1u);
+  EXPECT_EQ(stats.flush_immediate, 2u);
+
+  // An urgent request too large to answer inline flushes its bucket on
+  // arrival.
+  const std::string large_urgent =
+      WireBatchBody(OperatorRequests(kUrgentChunkRows + 4, 8), "urgent");
+  ASSERT_TRUE(client.Post("/v1/estimate", large_urgent, &response, &error))
+      << error;
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body,
+            frontend_->Handle(Post("/v1/estimate", large_urgent)).body);
+  stats = coalescer.stats();
   EXPECT_GE(stats.flush_urgent, 1u);
-  EXPECT_GE(stats.flush_window, 1u);
   server.Stop();
-  frontend_->set_coalescer(nullptr);
 }
 
-TEST_F(ServerFrontendTest, MalformedRequestIsolatedFromCoalescedWindow) {
+TEST_F(ServerFrontendTest, MalformedRequestIsolatedFromCoalescedBatch) {
   // Wire-parse rejection happens on the I/O thread before the coalescer:
-  // a malformed request answered 400 inside an open window must never
-  // poison the merged batch the valid requests ride in.
-  CoalescerOptions copts;
-  copts.window_us = 50 * 1000;
-  BatchCoalescer coalescer(service_.get(), copts);
+  // a malformed request answered 400 beside concurrent valid requests must
+  // never poison the batches they ride in.
+  BatchCoalescer coalescer(service_.get(), {});
   frontend_->set_coalescer(&coalescer);
   HttpServer server(
       [this](const HttpRequest& r, HttpResponseSender respond) {
@@ -1393,6 +1634,278 @@ TEST_F(ServerFrontendTest, PipelinedKeepAliveRequestsAnswerInOrder) {
   EXPECT_EQ(stats.keepalive_requests, 2u);
   server.Stop();
   frontend_->set_coalescer(nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Self-clocked coalescing: rows are held only while their lane has a batch
+// in flight on every pool worker, and a completion releases them.
+// ---------------------------------------------------------------------------
+
+/// Collects one coalescer submission's results.
+struct CoalescedCall {
+  std::vector<EstimateRequest> rows;
+  std::promise<std::vector<EstimateResult>> promise;
+  std::future<std::vector<EstimateResult>> future = promise.get_future();
+};
+
+std::shared_ptr<CoalescedCall> SubmitThrough(
+    BatchCoalescer* coalescer, std::vector<EstimateRequest> rows,
+    TaskPriority priority) {
+  auto call = std::make_shared<CoalescedCall>();
+  call->rows = rows;
+  SubmitOptions options;
+  options.priority = priority;
+  coalescer->Submit(std::move(rows), options,
+                    [call](std::vector<EstimateResult> results) {
+                      call->promise.set_value(std::move(results));
+                    });
+  return call;
+}
+
+TEST_F(ServerFrontendTest, CoalescerWithIdleWorkersHoldsNothing) {
+  BatchCoalescer coalescer(service_.get(), {});
+  ASSERT_TRUE(coalescer.enabled());
+  // One at a time, and then fewer at once than the pool has workers
+  // (4): every submission goes straight to the service.
+  for (int i = 0; i < 6; ++i) {
+    auto call = SubmitThrough(&coalescer, OperatorRequests(1 + i, i),
+                              TaskPriority::kNormal);
+    const auto results = call->future.get();
+    const auto solo = service_->EstimateBatch(call->rows);
+    ASSERT_EQ(results.size(), solo.size());
+    for (size_t r = 0; r < solo.size(); ++r) {
+      EXPECT_EQ(std::memcmp(&results[r].value, &solo[r].value,
+                            sizeof(double)),
+                0);
+    }
+  }
+  std::vector<std::shared_ptr<CoalescedCall>> calls;
+  for (int i = 0; i < 3; ++i) {
+    calls.push_back(SubmitThrough(&coalescer, OperatorRequests(5, 20 + i),
+                                  TaskPriority::kBulk));
+  }
+  for (auto& call : calls) EXPECT_EQ(call->future.get().size(), 5u);
+
+  const CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.submissions, 9u);
+  EXPECT_EQ(stats.batches, 9u);
+  EXPECT_EQ(stats.flush_immediate, 9u);
+  EXPECT_EQ(stats.flush_released, 0u);
+  EXPECT_EQ(stats.total_wait_us, 0.0);
+}
+
+TEST_F(ServerFrontendTest, CoalescerHoldsWhileSaturatedThenReleasesOneBatch) {
+  ChunkGate gate;
+  ThreadPool pool(2);
+  ServiceOptions sopts;
+  sopts.chunk_claim_hook = gate.Hook();
+  EstimationService service(registry_.get(), &pool, sopts);
+  BatchCoalescer coalescer(&service, {});
+  GateOpener opener{&gate};
+
+  // Two normal batches, one per worker: both go at once, and both workers
+  // park inside the first one's chunks.
+  std::vector<std::shared_ptr<CoalescedCall>> calls;
+  calls.push_back(
+      SubmitThrough(&coalescer, OperatorRequests(4, 1), TaskPriority::kNormal));
+  calls.push_back(
+      SubmitThrough(&coalescer, OperatorRequests(4, 2), TaskPriority::kNormal));
+  ASSERT_TRUE(gate.WaitParked(2));
+  EXPECT_EQ(coalescer.stats().flush_immediate, 2u);
+
+  // The normal lane is saturated: these two are held, not sent.
+  calls.push_back(
+      SubmitThrough(&coalescer, OperatorRequests(3, 3), TaskPriority::kNormal));
+  calls.push_back(
+      SubmitThrough(&coalescer, OperatorRequests(5, 4), TaskPriority::kNormal));
+  CoalescerStats stats = coalescer.stats();
+  EXPECT_EQ(stats.submissions, 4u);
+  EXPECT_EQ(stats.batches, 2u);
+  // Lanes saturate independently: the idle bulk lane still sends at once.
+  calls.push_back(
+      SubmitThrough(&coalescer, OperatorRequests(2, 5), TaskPriority::kBulk));
+  stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.flush_immediate, 3u);
+  for (auto& call : calls) {
+    EXPECT_EQ(call->future.wait_for(std::chrono::milliseconds(0)),
+              std::future_status::timeout);
+  }
+
+  gate.Open();
+  for (auto& call : calls) {
+    ASSERT_EQ(call->future.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    const auto results = call->future.get();
+    const auto solo = service_->EstimateBatch(call->rows);
+    ASSERT_EQ(results.size(), solo.size());
+    for (size_t r = 0; r < solo.size(); ++r) {
+      ASSERT_TRUE(results[r].ok());
+      EXPECT_EQ(std::memcmp(&results[r].value, &solo[r].value,
+                            sizeof(double)),
+                0)
+          << "row " << r;
+    }
+  }
+  // The first completion released both held submissions as one batch.
+  stats = coalescer.stats();
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.flush_released, 1u);
+  EXPECT_EQ(stats.coalesced_rows, 4u + 4u + 3u + 5u + 2u);
+  EXPECT_EQ(stats.batch_rows_histogram[4], 1u);  // the 8-row merged batch
+  EXPECT_GT(stats.total_wait_us, 0.0);
+}
+
+TEST_F(ServerFrontendTest, CoalescerStressEveryCallbackOnceNothingStranded) {
+  // A TSan target: concurrent submitters on every lane, two tenants, a
+  // small max_rows and a deadline stream, over a two-worker pool so lanes
+  // saturate and release constantly.
+  ThreadPool pool(2);
+  EstimationService service(registry_.get(), &pool);
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 200;
+  constexpr int kTotal = kThreads * kPerThread;
+  std::vector<std::atomic<int>> calls(kTotal);
+  std::atomic<int> completed{0};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> rows_sent{0};
+  {
+    CoalescerOptions copts;
+    copts.max_rows = 16;
+    BatchCoalescer coalescer(&service, copts);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&, t]() {
+        for (int i = 0; i < kPerThread; ++i) {
+          const int id = t * kPerThread + i;
+          auto rows = OperatorRequests(1 + (id % 6), id);
+          SubmitOptions options;
+          options.priority = static_cast<TaskPriority>(id % 3);
+          options.tenant = (id / 3) % 2 == 0 ? "a" : "b";
+          if (id % 11 == 0) {
+            options.deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(60);
+          }
+          rows_sent.fetch_add(rows.size());
+          coalescer.Submit(
+              rows, options,
+              [&, id, rows](std::vector<EstimateResult> results) {
+                calls[id].fetch_add(1);
+                bool ok = results.size() == rows.size();
+                for (size_t r = 0; ok && r < rows.size(); ++r) {
+                  const double direct = estimator_->EstimateFromFeatures(
+                      rows[r].op, rows[r].features, rows[r].resource);
+                  ok = results[r].ok() &&
+                       std::memcmp(&results[r].value, &direct,
+                                   sizeof(double)) == 0;
+                }
+                if (!ok) wrong.fetch_add(1);
+                completed.fetch_add(1);
+              });
+        }
+      });
+    }
+    for (auto& t : submitters) t.join();
+    // Nothing stranded: every callback arrives without a drain.
+    for (int spin = 0; spin < 30000 && completed.load() < kTotal; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(completed.load(), kTotal) << "held rows were stranded";
+
+    const CoalescerStats stats = coalescer.stats();
+    EXPECT_EQ(stats.submissions + stats.passthrough,
+              static_cast<uint64_t>(kTotal));
+    EXPECT_EQ(stats.flush_immediate + stats.flush_released +
+                  stats.flush_full + stats.flush_urgent + stats.flush_drain,
+              stats.batches);
+    EXPECT_EQ(stats.flush_drain, 0u);
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  for (int id = 0; id < kTotal; ++id) {
+    EXPECT_EQ(calls[id].load(), 1) << "submission " << id;
+  }
+}
+
+TEST_F(ServerFrontendTest, SmallUrgentRequestAnsweredInlineWhileWorkersParked) {
+  ChunkGate gate;
+  ThreadPool pool(2);
+  ServiceOptions sopts;
+  sopts.chunk_claim_hook = gate.Hook();
+  EstimationService service(registry_.get(), &pool, sopts);
+  ServingFrontend frontend(&service, registry_.get(), "default");
+  GateOpener opener{&gate};
+
+  // Park both workers inside a normal batch.
+  auto parked = service.SubmitBatch(OperatorRequests(12, 1));
+  ASSERT_TRUE(gate.WaitParked(2));
+
+  // kUrgentChunkRows rows, with and without a deadline: answered before
+  // HandleAsync returns, bit-identical to the solo path, as one chunk.
+  for (const double deadline_ms : {0.0, 5000.0}) {
+    const std::string body = WireBatchBody(
+        OperatorRequests(kUrgentChunkRows, 5), "urgent", deadline_ms);
+    const std::string expected =
+        frontend_->Handle(Post("/v1/estimate", body)).body;
+    bool answered = false;
+    HttpResponse got;
+    frontend.HandleAsync(Post("/v1/estimate", body),
+                         [&](HttpResponse response) {
+                           answered = true;
+                           got = std::move(response);
+                         });
+    ASSERT_TRUE(answered) << "deadline_ms " << deadline_ms;
+    EXPECT_EQ(got.status, 200);
+    EXPECT_EQ(got.body, expected);
+  }
+  EXPECT_EQ(service.stats().ForPriority(TaskPriority::kUrgent).batches, 2u);
+
+  // One row more takes the pool, so it waits for a free worker.
+  const std::string large = WireBatchBody(
+      OperatorRequests(kUrgentChunkRows + 1, 6), "urgent");
+  auto large_response = std::make_shared<std::promise<HttpResponse>>();
+  auto large_future = large_response->get_future();
+  frontend.HandleAsync(Post("/v1/estimate", large),
+                       [large_response](HttpResponse response) {
+                         large_response->set_value(std::move(response));
+                       });
+  EXPECT_EQ(large_future.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+
+  gate.Open();
+  ASSERT_EQ(large_future.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const HttpResponse response = large_future.get();
+  EXPECT_EQ(response.status, 200);
+  EXPECT_EQ(response.body, frontend_->Handle(Post("/v1/estimate", large)).body);
+  EXPECT_EQ(parked.get().size(), 12u);
+  EXPECT_EQ(service.stats().ForPriority(TaskPriority::kUrgent).batches, 3u);
+}
+
+TEST_F(ServerFrontendTest, EstimateInlineMatchesEstimateBatch) {
+  // EstimateInline is EstimateBatch run on the caller as one chunk: same
+  // values, statuses and degenerate-batch handling.
+  SubmitOptions urgent;
+  urgent.priority = TaskPriority::kUrgent;
+  for (const int n : {1, 3, 8, 40}) {
+    auto requests = OperatorRequests(n, n);
+    requests.push_back(requests.front());  // a duplicate for dedup
+    const auto batch = service_->EstimateBatch(requests, urgent);
+    const auto inline_results = service_->EstimateInline(requests, urgent);
+    ASSERT_EQ(inline_results.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(inline_results[i].status, batch[i].status);
+      EXPECT_EQ(std::memcmp(&inline_results[i].value, &batch[i].value,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(inline_results[i].model_version, batch[i].model_version);
+    }
+  }
+  EXPECT_TRUE(service_->EstimateInline({}, urgent).empty());
+  SubmitOptions expired = urgent;
+  expired.deadline = std::chrono::steady_clock::now();
+  const auto late = service_->EstimateInline(OperatorRequests(2, 0), expired);
+  ASSERT_EQ(late.size(), 2u);
+  EXPECT_EQ(late[0].status, EstimateStatus::kDeadlineExceeded);
 }
 
 // ---------------------------------------------------------------------------

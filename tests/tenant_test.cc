@@ -423,8 +423,14 @@ TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.coalescer.window_us = 50;
   options.coalescer.max_rows = 64;
+  // Declared before the manager: the last callback may still be notifying
+  // when the wait below returns, and only the manager's destructor waits
+  // for it.
+  std::atomic<int> responses{0};
+  std::atomic<int> result_failures{0};
+  std::mutex done_mu;
+  std::condition_variable done_cv;
   TenantManager manager(&registry, &pool, options);
   ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
   ASSERT_NE(manager.AddTenant("alpha", nullptr), nullptr);
@@ -436,10 +442,6 @@ TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
   constexpr int kRowsPerRound = 4;
   const char* tenant_ids[] = {"alpha", "beta"};
 
-  std::atomic<int> responses{0};
-  std::atomic<int> result_failures{0};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
   std::vector<std::thread> clients;
   for (int t = 0; t < 2; ++t) {
     for (int c = 0; c < kClientsPerTenant; ++c) {
