@@ -40,7 +40,7 @@
 //
 // A server-loopback scenario prices the HTTP front end (src/server/): the
 // same operator-feature batches are estimated in-process and over a
-// loopback resest_server round trip (JSON parse, coalesce, batch pipeline,
+// loopback resest_server round trip (JSON parse, batch pipeline,
 // JSON format, socket both ways) with N concurrent keep-alive clients on
 // each side, reporting qps and p99 batch latency for both sides — and
 // checking the wire's %.17g doubles land bit-identical.
@@ -305,8 +305,6 @@ struct LoopbackScenario {
   double inproc_p99_ms = 0.0;
   double http_qps = 0.0;
   double http_p99_ms = 0.0;
-  double coalesced_rows_per_batch = 0.0;
-  uint64_t coalesced_batches = 0;
   size_t requests = 0;
   size_t checked_responses = 0;  ///< All passes, both sides.
   size_t mismatches = 0;
@@ -314,11 +312,10 @@ struct LoopbackScenario {
 };
 
 /// The same operator-feature batches, in-process vs over loopback HTTP
-/// through the event-loop front end with cross-request coalescing — N
-/// concurrent clients on each side, every HTTP client reusing one
-/// keep-alive connection. Equal concurrency on both sides makes the ratio
-/// a pure wire-overhead number: JSON parse, coalesce/demux, response
-/// format, and the socket crossings.
+/// through the event-loop front end — N concurrent clients on each side,
+/// every HTTP client reusing one keep-alive connection. Equal concurrency
+/// on both sides makes the ratio a pure wire-overhead number: JSON parse,
+/// response format, and the socket crossings.
 LoopbackScenario MeasureServerLoopback(const ModelRegistry& registry,
                                        ThreadPool& pool, int num_batches,
                                        int batch_size, int num_clients) {
@@ -330,7 +327,7 @@ LoopbackScenario MeasureServerLoopback(const ModelRegistry& registry,
   LoopbackScenario scenario;
   EstimationService service(&registry, &pool);
   ServingFrontend frontend(&service, &registry, "default");
-  BatchCoalescer coalescer(&service, {});  // default max-rows
+  BatchCoalescer coalescer(&service);  // as resest_server attaches one
   frontend.set_coalescer(&coalescer);
   HttpServer server(
       [&frontend](const HttpRequest& r, HttpResponseSender respond) {
@@ -433,9 +430,8 @@ LoopbackScenario MeasureServerLoopback(const ModelRegistry& registry,
   }
 
   // HTTP side: each client thread connects once and keeps the connection
-  // alive for its whole stream, so the server's keep-alive reuse and the
-  // coalescer see the traffic shape of a real client fleet.
-  const uint64_t coalesced_before = coalescer.stats().batches;
+  // alive for its whole stream, so the server's keep-alive reuse sees the
+  // traffic shape of a real client fleet.
   std::vector<double> http_ms;
   for (int pass = 0; pass < kPasses; ++pass) {
     std::vector<std::vector<double>> ms_per(nc);
@@ -510,9 +506,6 @@ LoopbackScenario MeasureServerLoopback(const ModelRegistry& registry,
   }
   server.Stop();
 
-  const CoalescerStats cstats = coalescer.stats();
-  scenario.coalesced_batches = cstats.batches - coalesced_before;
-  scenario.coalesced_rows_per_batch = cstats.MeanRowsPerBatch();
   scenario.mismatches = mismatches.load();
 
   std::sort(inproc_ms.begin(), inproc_ms.end());
@@ -558,7 +551,6 @@ TenantScenario MeasureTenantIsolation(ModelRegistry& registry,
   topts.service.model_name = "default";
   topts.service.cache_capacity = 4096;  // bulk flood (2x this) must evict
   topts.service.max_batch_size = 8192;
-  topts.enable_coalescing = false;
   topts.heartbeat_interval_ms = 0;  // every Heartbeat() call ticks
   TenantManager tenants(&registry, &pool, topts);
   TenantManager::Tenant* bulk_tenant = tenants.AddTenant("bulk-a");
@@ -930,9 +922,6 @@ int main() {
                 loopback.inproc_qps > 0.0
                     ? loopback.http_qps / loopback.inproc_qps
                     : 0.0);
-    std::printf("coalescer: %llu merged submissions, %.1f rows/batch mean\n",
-                static_cast<unsigned long long>(loopback.coalesced_batches),
-                loopback.coalesced_rows_per_batch);
     if (loopback.mismatches != 0) {
       std::printf("WARNING: %zu HTTP responses were not bit-identical to "
                   "the in-process results\n",
@@ -1033,9 +1022,6 @@ int main() {
               loopback.inproc_qps > 0.0
                   ? loopback.http_qps / loopback.inproc_qps
                   : 0.0);
-  json.Number("coalesced_rows_per_batch", loopback.coalesced_rows_per_batch);
-  json.Int("coalesced_batches",
-           static_cast<long long>(loopback.coalesced_batches));
   json.Number("tenant_solo_urgent_p99_ms", tenant_iso.solo_p99_ms);
   json.Number("tenant_self_urgent_p99_ms", tenant_iso.self_p99_ms);
   json.Number("tenant_cross_urgent_p99_ms", tenant_iso.cross_p99_ms);

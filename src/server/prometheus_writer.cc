@@ -307,33 +307,22 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
   w.Sample("resest_http_keepalive_requests_total", {},
            snapshot.http_keepalive_requests);
 
-  // Cross-request micro-batch coalescing (emitted only when the server
-  // runs with a coalescer, mirroring the durability block's convention).
+  // Estimate submission counters (emitted only when the server runs with a
+  // coalescer, mirroring the durability block's convention).
   if (snapshot.has_coalescer) {
     const CoalescerStats& c = snapshot.coalescer;
     w.BeginFamily("resest_coalesce_submissions_total",
-                  "Estimate submissions that entered a coalescing bucket.",
+                  "Estimate submissions forwarded without a deadline.",
                   "counter");
     w.Sample("resest_coalesce_submissions_total", {}, c.submissions);
     w.BeginFamily("resest_coalesce_passthrough_total",
-                  "Estimate submissions forwarded solo (deadline-carrying, "
-                  "oversized, or coalescing disabled).",
+                  "Estimate submissions forwarded with a deadline (or "
+                  "empty).",
                   "counter");
     w.Sample("resest_coalesce_passthrough_total", {}, c.passthrough);
-    w.BeginFamily("resest_coalesce_flushes_total",
-                  "Merged batches submitted, by flush trigger.", "counter");
-    w.Sample("resest_coalesce_flushes_total", {{"trigger", "immediate"}},
-             c.flush_immediate);
-    w.Sample("resest_coalesce_flushes_total", {{"trigger", "released"}},
-             c.flush_released);
-    w.Sample("resest_coalesce_flushes_total", {{"trigger", "full"}},
-             c.flush_full);
-    w.Sample("resest_coalesce_flushes_total", {{"trigger", "urgent"}},
-             c.flush_urgent);
-    w.Sample("resest_coalesce_flushes_total", {{"trigger", "drain"}},
-             c.flush_drain);
     w.BeginFamily("resest_coalesce_batch_rows",
-                  "Rows per merged batch handed to the service.",
+                  "Rows per batch handed to the service (deadline-free "
+                  "submissions).",
                   "histogram");
     std::vector<double> row_bounds(kCoalesceRowsBuckets);
     for (size_t i = 0; i < kCoalesceRowsBuckets; ++i) {
@@ -343,18 +332,6 @@ std::string RenderServiceMetrics(const ServerMetricsSnapshot& snapshot) {
                 std::vector<uint64_t>(c.batch_rows_histogram.begin(),
                                       c.batch_rows_histogram.end()),
                 static_cast<double>(c.coalesced_rows), c.batches);
-    w.BeginFamily("resest_coalesce_wait_seconds",
-                  "Time each coalesced submission was held before its batch "
-                  "was sent (non-zero only while its lane was saturated).",
-                  "histogram");
-    std::vector<double> wait_bounds(kCoalesceWaitBuckets);
-    for (size_t i = 0; i < kCoalesceWaitBuckets; ++i) {
-      wait_bounds[i] = static_cast<double>(uint64_t{1} << i) / 1e6;
-    }
-    w.Histogram("resest_coalesce_wait_seconds", {}, wait_bounds,
-                std::vector<uint64_t>(c.wait_histogram.begin(),
-                                      c.wait_histogram.end()),
-                c.total_wait_us / 1e6, c.submissions);
   }
 
   // Per-tenant load dimension (the heartbeat sweep's TenantStats): one

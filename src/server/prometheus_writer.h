@@ -68,8 +68,8 @@ struct ServerMetricsSnapshot {
   size_t http_active_connections = 0;
   uint64_t http_connections_accepted = 0;
   uint64_t http_keepalive_requests = 0;
-  /// Micro-batch coalescer counters and histograms; emitted only when the
-  /// server runs with coalescing attached (has_coalescer).
+  /// Estimate submission counters and row histogram; emitted only when the
+  /// server runs with a coalescer attached (has_coalescer).
   bool has_coalescer = false;
   CoalescerStats coalescer;
   /// WAL/recovery/observation-log durability counters; emitted only when

@@ -74,7 +74,6 @@ struct Flags {
   int obslog_cap_mb = 0;   ///< 0 = unbounded observation-log memory.
   int refit_interval_ms = 0;  ///< 0 = no background refit loop.
   int io_threads = 0;         ///< 0 = auto (half the cores, clamped [1,4]).
-  int coalesce_max_rows = 1024;  ///< 0 disables coalescing.
   std::string tenants;     ///< Comma-separated named tenants (may be empty).
   int tenant_cache_mb = 0;    ///< 0 = keep the service default capacity.
   int tenant_obslog_cap_mb = -1;  ///< <= 0 = inherit --obslog-cap-mb.
@@ -84,7 +83,7 @@ void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--address=IP] [--port=N] [--threads=N]\n"
-      "          [--io-threads=N] [--coalesce-max-rows=N]\n"
+      "          [--io-threads=N]\n"
       "          [--model=PATH] [--model-name=NAME]\n"
       "          [--train-queries=N] [--trees=N]\n"
       "          [--data-dir=PATH] [--obslog-cap-mb=N]\n"
@@ -100,11 +99,6 @@ void PrintUsage(const char* argv0) {
       "                     (default: hardware concurrency)\n"
       "  --io-threads=N     event-loop threads for the HTTP front end\n"
       "                     (default 0 = half the cores, clamped to [1,4])\n"
-      "  --coalesce-max-rows=N  /v1/estimate requests are sent to the pool\n"
-      "                     at once while a worker is free; when all are\n"
-      "                     busy they merge into one batch, sent when a\n"
-      "                     batch completes or it reaches N rows\n"
-      "                     (default 1024; 0 disables coalescing)\n"
       "  --model=PATH       load a persisted model store instead of\n"
       "                     training the demo model\n"
       "  --model-name=NAME  registry base name to publish/serve (default\n"
@@ -183,7 +177,6 @@ Flags ParseFlags(int argc, char** argv) {
         ParseIntFlag(arg, "--obslog-cap-mb", &flags.obslog_cap_mb) ||
         ParseIntFlag(arg, "--refit-interval-ms", &flags.refit_interval_ms) ||
         ParseIntFlag(arg, "--io-threads", &flags.io_threads) ||
-        ParseIntFlag(arg, "--coalesce-max-rows", &flags.coalesce_max_rows) ||
         ParseStringFlag(arg, "--tenants", &flags.tenants) ||
         ParseIntFlag(arg, "--tenant-cache-mb", &flags.tenant_cache_mb) ||
         ParseIntFlag(arg, "--tenant-obslog-cap-mb",
@@ -198,10 +191,8 @@ Flags ParseFlags(int argc, char** argv) {
     std::fprintf(stderr, "resest_server: --port must be in [0, 65535]\n");
     std::exit(2);
   }
-  if (flags.io_threads < 0 || flags.coalesce_max_rows < 0) {
-    std::fprintf(stderr,
-                 "resest_server: --io-threads / --coalesce-max-rows must be "
-                 ">= 0\n");
+  if (flags.io_threads < 0) {
+    std::fprintf(stderr, "resest_server: --io-threads must be >= 0\n");
     std::exit(2);
   }
   if (flags.obslog_cap_mb < 0 || flags.refit_interval_ms < 0) {
@@ -277,9 +268,6 @@ int main(int argc, char** argv) {
         1, static_cast<size_t>(flags.tenant_cache_mb) * (size_t{1} << 20) /
                EstimateCache::kBytesPerEntry);
   }
-  tenant_options.coalescer.max_rows =
-      static_cast<size_t>(flags.coalesce_max_rows);
-  tenant_options.enable_coalescing = flags.coalesce_max_rows > 0;
   tenant_options.data_dir = flags.data_dir;
   tenant_options.train.mart.num_trees = flags.trees;
   tenant_options.train.train_threads = threads;

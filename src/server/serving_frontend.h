@@ -74,9 +74,10 @@ class ServingFrontend {
   void set_http_server(const HttpServer* server) { http_server_ = server; }
 
   /// Optional: routes HandleAsync estimate submissions through `coalescer`
-  /// (which must wrap the same service and outlive the frontend) and adds
-  /// the coalescing families to /metrics. Null to detach. Applies to the
-  /// default tenant only; a TenantManager's tenants carry their own.
+  /// (which must wrap the same service and outlive the frontend; it
+  /// forwards each at once and counts it) and adds its families to
+  /// /metrics. Null to detach. Applies to the default tenant only; a
+  /// TenantManager's tenants carry their own.
   void set_coalescer(BatchCoalescer* coalescer) { coalescer_ = coalescer; }
 
   /// Optional: enables POST /v1/observe and the durability metrics. The

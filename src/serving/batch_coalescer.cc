@@ -1,194 +1,36 @@
 #include "src/serving/batch_coalescer.h"
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace resest {
-namespace {
-
-// Index of the power-of-two bucket counting `value`: the first i with
-// value < 2^i, saturated to the last bucket.
-template <size_t N>
-size_t Log2Bucket(double value) {
-  double bound = 1.0;
-  for (size_t i = 0; i + 1 < N; ++i) {
-    if (value < bound) return i;
-    bound *= 2.0;
-  }
-  return N - 1;
-}
-
-}  // namespace
-
-BatchCoalescer::BatchCoalescer(const EstimationService* service,
-                               CoalescerOptions options)
-    : service_(service),
-      options_(options),
-      workers_(std::max<size_t>(1, service->num_workers())) {
-  effective_max_rows_ =
-      std::min(options_.max_rows, service_->options().max_batch_size);
-  enabled_ = effective_max_rows_ > 1;
-}
-
-BatchCoalescer::~BatchCoalescer() {
-  Flush();
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    for (const Bucket& bucket : buckets_) {
-      if (bucket.inflight != 0) return false;
-    }
-    return true;
-  });
-}
 
 void BatchCoalescer::Submit(std::vector<EstimateRequest> rows,
                             const SubmitOptions& options, BatchCallback done) {
   const size_t n = rows.size();
-  // Deadlines stay per-submission; oversized groups can't gain partners; an
-  // empty group has nothing to merge. All forward solo with exact options.
-  if (!enabled_ || options.has_deadline() || n == 0 ||
-      n >= effective_max_rows_) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (options.has_deadline() || n == 0) {
       ++stats_.passthrough;
-    }
-    service_->SubmitBatch(std::move(rows), std::move(done), options);
-    return;
-  }
-
-  const size_t lane = static_cast<size_t>(options.priority);
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<PendingFlush> to_submit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Bucket& bucket = buckets_[lane];
-    if (!bucket.rows.empty() &&
-        (bucket.rows.size() + n > effective_max_rows_ ||
-         bucket.tenant != options.tenant)) {
-      // No room, or another tenant's rows are pending — tenants never
-      // share a merged batch.
-      to_submit.push_back(TakeLocked(lane, FlushReason::kFull, now));
-    }
-    if (bucket.entries.empty()) bucket.tenant = options.tenant;
-    Entry entry;
-    entry.done = std::move(done);
-    entry.offset = bucket.rows.size();
-    entry.count = n;
-    entry.enqueued = now;
-    bucket.entries.push_back(std::move(entry));
-    bucket.rows.insert(bucket.rows.end(),
-                       std::make_move_iterator(rows.begin()),
-                       std::make_move_iterator(rows.end()));
-    ++stats_.submissions;
-    if (options.priority == TaskPriority::kUrgent) {
-      // Urgent never waits: take whatever raced in and go.
-      to_submit.push_back(TakeLocked(lane, FlushReason::kUrgent, now));
-    } else if (bucket.rows.size() >= effective_max_rows_) {
-      to_submit.push_back(TakeLocked(lane, FlushReason::kFull, now));
-    } else if (bucket.inflight < workers_) {
-      // A worker is free: holding the rows would only add latency.
-      to_submit.push_back(TakeLocked(lane, FlushReason::kImmediate, now));
-    }
-    // Otherwise the lane is saturated and the rows stay held; the lane's
-    // next completion (there is one: inflight >= workers_ >= 1) releases
-    // them.
-  }
-  for (auto& flush : to_submit) SubmitMerged(std::move(flush));
-}
-
-void BatchCoalescer::Flush() {
-  std::vector<PendingFlush> to_submit;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto now = std::chrono::steady_clock::now();
-    for (size_t lane = 0; lane < buckets_.size(); ++lane) {
-      if (!buckets_[lane].entries.empty()) {
-        to_submit.push_back(TakeLocked(lane, FlushReason::kDrain, now));
+    } else {
+      ++stats_.submissions;
+      ++stats_.batches;
+      stats_.coalesced_rows += n;
+      if (options.priority == TaskPriority::kUrgent) ++stats_.flush_urgent;
+      // Index of the first power of two above n, saturated to the last
+      // bucket.
+      size_t bucket = 0;
+      while (bucket + 1 < kCoalesceRowsBuckets && (size_t{1} << bucket) <= n) {
+        ++bucket;
       }
+      ++stats_.batch_rows_histogram[bucket];
     }
   }
-  for (auto& flush : to_submit) SubmitMerged(std::move(flush));
+  service_->SubmitBatch(std::move(rows), std::move(done), options);
 }
 
 CoalescerStats BatchCoalescer::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-BatchCoalescer::PendingFlush BatchCoalescer::TakeLocked(
-    size_t lane, FlushReason reason,
-    std::chrono::steady_clock::time_point now) {
-  Bucket& bucket = buckets_[lane];
-  PendingFlush flush;
-  flush.rows = std::move(bucket.rows);
-  flush.entries = std::move(bucket.entries);
-  flush.tenant = std::move(bucket.tenant);
-  flush.priority = static_cast<TaskPriority>(lane);
-  bucket.rows.clear();
-  bucket.entries.clear();
-  bucket.tenant.clear();
-  // Counted in flight here, under the lock, so an arrival racing the
-  // submission below already sees the lane's load.
-  ++bucket.inflight;
-
-  ++stats_.batches;
-  stats_.coalesced_rows += flush.rows.size();
-  switch (reason) {
-    case FlushReason::kImmediate: ++stats_.flush_immediate; break;
-    case FlushReason::kReleased: ++stats_.flush_released; break;
-    case FlushReason::kFull: ++stats_.flush_full; break;
-    case FlushReason::kUrgent: ++stats_.flush_urgent; break;
-    case FlushReason::kDrain: ++stats_.flush_drain; break;
-  }
-  stats_.batch_rows_histogram[Log2Bucket<kCoalesceRowsBuckets>(
-      static_cast<double>(flush.rows.size()))]++;
-  for (const Entry& e : flush.entries) {
-    const double wait_us =
-        std::chrono::duration<double, std::micro>(now - e.enqueued).count();
-    stats_.total_wait_us += wait_us;
-    stats_.wait_histogram[Log2Bucket<kCoalesceWaitBuckets>(wait_us)]++;
-  }
-  return flush;
-}
-
-void BatchCoalescer::SubmitMerged(PendingFlush flush) {
-  auto entries =
-      std::make_shared<std::vector<Entry>>(std::move(flush.entries));
-  const size_t lane = static_cast<size_t>(flush.priority);
-  SubmitOptions merged_options;
-  merged_options.priority = flush.priority;
-  merged_options.tenant = std::move(flush.tenant);
-  service_->SubmitBatch(
-      std::move(flush.rows),
-      [this, entries, lane](std::vector<EstimateResult> results) {
-        for (Entry& e : *entries) {
-          std::vector<EstimateResult> slice(
-              std::make_move_iterator(results.begin() + e.offset),
-              std::make_move_iterator(results.begin() + e.offset + e.count));
-          e.done(std::move(slice));
-        }
-        bool released = false;
-        PendingFlush next;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          Bucket& bucket = buckets_[lane];
-          --bucket.inflight;
-          // The completion is the clock: rows held while the lane was
-          // saturated go out now, as one merged batch.
-          if (!bucket.entries.empty()) {
-            next = TakeLocked(lane, FlushReason::kReleased,
-                              std::chrono::steady_clock::now());
-            released = true;
-          }
-          // Notify under the lock: the destructor destroys idle_cv_ as soon
-          // as it observes every lane idle, so an unlocked notify could
-          // touch a dead condition variable.
-          idle_cv_.notify_all();
-        }
-        if (released) SubmitMerged(std::move(next));
-      },
-      merged_options);
 }
 
 }  // namespace resest

@@ -1,83 +1,48 @@
-// Cross-request micro-batch coalescing for the serving path: concurrent
-// /v1/estimate submissions that arrive while the service is busy are merged
-// into one EstimationService::SubmitBatch call, so the compiled-forest
-// lockstep kernel and batch-level dedup see wide batches even when every
-// wire client sends small ones. Results are demuxed back per submission —
-// each caller receives exactly its own slice, in its own request order, so
-// the wire responses are bit-identical to solo submissions (estimation is
-// row-independent: only *which requests share a sweep* changes, never any
-// request's value or status).
+// The per-tenant submission stage of the /v1/estimate path. It forwards
+// every submission to EstimationService::SubmitBatch at once, with its own
+// SubmitOptions, and counts what it forwarded (CoalescerStats, rendered as
+// the resest_coalesce_* /metrics families).
 //
-// Scheduling semantics (self-clocked: there is no timer):
-//  - One bucket per TaskPriority (a "lane"); a submission only ever merges
-//    with its own priority, and the merged batch is submitted at that
-//    priority.
-//  - A submission goes to the service at once while fewer of its lane's
-//    batches are in flight than the service has pool workers — an idle
-//    worker gains nothing from a wait. Only when the lane is saturated do
-//    arrivals collect in the bucket; the demux callback of the lane's next
-//    completing batch submits them as one merged batch. Invariant: a
-//    non-empty bucket implies at least one in-flight batch of its lane, so
-//    held rows are never stranded.
-//  - Submissions never merge across tenants (SubmitOptions::tenant): a
-//    bucket holds one tenant's rows; a different tenant's arrival flushes
-//    the pending bucket first. Multi-tenant servers run one coalescer per
-//    tenant anyway — this guard keeps isolation even if one is shared.
-//  - kUrgent submissions never wait: they flush their bucket immediately
-//    on arrival (merging opportunistically with any urgent rows that raced
-//    in), whatever the lane's load.
-//  - Submissions carrying a deadline bypass coalescing entirely and are
-//    forwarded solo with their exact SubmitOptions — deadline expiry stays
-//    per-submission, never shared with unrelated requests.
-//  - A held bucket also flushes when it reaches max_rows (capped by the
-//    service's max_batch_size, so a merged batch can never be rejected as
-//    oversized when its parts were not), or at drain.
+// It does not merge concurrent submissions. A merge adds no kernel width
+// (the chunk scheduler re-splits every batch into chunks of a few rows),
+// and holding rows for a partner only adds latency (on perfbench's
+// wire-cold workload a 100 µs merge window held submissions ~140 µs of a
+// ~0.5 ms median answer). Merging only while the pool is saturated is not
+// done either: no benchmarked workload keeps every worker busy, so it
+// could not be shown to pay.
 //
-// Thread-safe; the service must outlive the coalescer. The destructor
-// flushes pending buckets and blocks until every demux callback has run,
-// so callers' completion handlers never fire after teardown.
+// Thread-safe and stateless apart from the counters: results travel from
+// the service straight to the caller's callback, so each caller gets
+// exactly its own rows, in order, bit-identical to a direct SubmitBatch.
+// The service must outlive the coalescer.
 #ifndef RESEST_SERVING_BATCH_COALESCER_H_
 #define RESEST_SERVING_BATCH_COALESCER_H_
 
 #include <array>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "src/serving/estimation_service.h"
 
 namespace resest {
 
-struct CoalescerOptions {
-  /// Rows that flush a held bucket before a completion releases it;
-  /// clamped to the service's max_batch_size. 0 or 1 disables coalescing
-  /// (every submission is forwarded solo).
-  size_t max_rows = 1024;
-};
-
-/// Power-of-two histograms: bucket i counts observations < 2^i units (the
-/// last bucket absorbs the rest) — same shape as the service's latency
+/// Power-of-two histogram: bucket i counts batches of < 2^i rows (the last
+/// bucket absorbs the rest) — same shape as the service's latency
 /// histogram, rendered the same way in /metrics.
 inline constexpr size_t kCoalesceRowsBuckets = 13;  ///< rows, up to 4096.
-inline constexpr size_t kCoalesceWaitBuckets = 16;  ///< µs, up to ~32ms.
 
 struct CoalescerStats {
-  uint64_t submissions = 0;   ///< Submit() calls that entered a bucket.
-  uint64_t passthrough = 0;   ///< Forwarded solo (disabled/deadline/oversize).
-  uint64_t batches = 0;       ///< Merged batches sent to the service.
+  uint64_t submissions = 0;   ///< Forwarded without a deadline.
+  uint64_t passthrough = 0;   ///< Forwarded with a deadline, or empty.
+  /// Batches sent for `submissions`: one each, since nothing merges.
+  uint64_t batches = 0;
   uint64_t coalesced_rows = 0;  ///< Rows carried by those batches.
-  // Flush-trigger breakdown (sums to `batches`).
-  uint64_t flush_immediate = 0;  ///< Sent on arrival: a worker was free.
-  uint64_t flush_released = 0;   ///< Held rows released by a completion.
-  uint64_t flush_full = 0;
-  uint64_t flush_urgent = 0;
-  uint64_t flush_drain = 0;
+  uint64_t flush_urgent = 0;    ///< Of `batches`, those at kUrgent.
   std::array<uint64_t, kCoalesceRowsBuckets> batch_rows_histogram{};
-  std::array<uint64_t, kCoalesceWaitBuckets> wait_histogram{};
-  double total_wait_us = 0.0;  ///< Summed over coalesced submissions.
+  /// Time submissions were held before being sent: always 0, nothing is
+  /// held (perfbench's coalescer.wait_us_mean reads it).
+  double total_wait_us = 0.0;
 
   double MeanRowsPerBatch() const {
     return batches == 0
@@ -90,81 +55,23 @@ struct CoalescerStats {
 class BatchCoalescer {
  public:
   /// `service` must outlive the coalescer.
-  BatchCoalescer(const EstimationService* service,
-                 CoalescerOptions options = {});
-  ~BatchCoalescer();
+  explicit BatchCoalescer(const EstimationService* service)
+      : service_(service) {}
 
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  /// True when submissions can actually merge (max_rows above 1).
-  bool enabled() const { return enabled_; }
-
-  /// Submits one group of rows that must be answered together; `done`
+  /// Forwards one group of rows to the service as its own batch; `done`
   /// receives exactly rows.size() results in row order, exactly once,
   /// possibly before this returns (degenerate batches complete inline).
-  /// Deadline-carrying options, empty groups, and groups at or above the
-  /// effective max bypass the buckets and are forwarded solo.
   void Submit(std::vector<EstimateRequest> rows, const SubmitOptions& options,
               BatchCallback done);
 
-  /// Flushes every pending bucket now (drain hook); does not wait for the
-  /// flushed batches to complete.
-  void Flush();
-
   CoalescerStats stats() const;
-  const CoalescerOptions& options() const { return options_; }
 
  private:
-  /// One caller's share of a bucket: its demux callback plus the row range
-  /// it owns within the merged batch.
-  struct Entry {
-    BatchCallback done;
-    size_t offset = 0;
-    size_t count = 0;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-  /// One lane: the rows held while it is saturated, plus its in-flight
-  /// count.
-  struct Bucket {
-    std::vector<EstimateRequest> rows;
-    std::vector<Entry> entries;
-    /// Tenant owning the pending rows (set by the first entry); arrivals
-    /// from any other tenant flush the bucket before starting their own.
-    std::string tenant;
-    /// This lane's merged batches whose demux has not finished.
-    size_t inflight = 0;
-  };
-  enum class FlushReason { kImmediate, kReleased, kFull, kUrgent, kDrain };
-  /// A bucket's content detached under the lock, submitted outside it.
-  struct PendingFlush {
-    std::vector<EstimateRequest> rows;
-    std::vector<Entry> entries;
-    std::string tenant;
-    TaskPriority priority = TaskPriority::kNormal;
-  };
-
-  /// Moves the (non-empty) bucket's content into a PendingFlush, counts it
-  /// in flight and records its stats; the caller holds mu_.
-  PendingFlush TakeLocked(size_t lane, FlushReason reason,
-                          std::chrono::steady_clock::time_point now);
-  /// Submits to the service and demuxes on completion; the demux callback
-  /// releases whatever the lane held meanwhile. Must be called WITHOUT mu_
-  /// held (degenerate batches complete inline, and the completion callback
-  /// takes the lock).
-  void SubmitMerged(PendingFlush flush);
-
   const EstimationService* service_;
-  CoalescerOptions options_;
-  bool enabled_ = false;
-  size_t effective_max_rows_ = 0;
-  /// In-flight batches per lane below which arrivals are sent at once: the
-  /// service's pool worker count.
-  size_t workers_ = 1;
-
   mutable std::mutex mu_;
-  std::condition_variable idle_cv_;
-  std::array<Bucket, kNumTaskPriorities> buckets_;
   CoalescerStats stats_;
 };
 

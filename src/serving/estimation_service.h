@@ -326,8 +326,6 @@ class EstimationService {
   /// with an empty `shards` vector when the cache is disabled.
   EstimateCacheStats cache_stats() const;
   const ServiceOptions& options() const { return options_; }
-  /// Pool worker threads batches fan out over.
-  size_t num_workers() const { return pool_->num_threads(); }
 
  private:
   struct BatchState;

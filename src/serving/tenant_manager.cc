@@ -51,10 +51,7 @@ TenantManager::Tenant* TenantManager::AddTenant(const std::string& id,
   service_options.model_name = tenant->model_name;
   tenant->service = std::make_unique<EstimationService>(registry_, pool_,
                                                         service_options);
-  if (options_.enable_coalescing) {
-    tenant->coalescer = std::make_unique<BatchCoalescer>(
-        tenant->service.get(), options_.coalescer);
-  }
+  tenant->coalescer = std::make_unique<BatchCoalescer>(tenant->service.get());
   if (!options_.data_dir.empty()) {
     // The default tenant logs at the data-dir root — byte-compatible with
     // the single-tenant layout, so a pre-tenancy server's WAL recovers

@@ -59,9 +59,6 @@ struct TenantOptions {
   /// serves "<model_name>@<t>", the default tenant serves it verbatim) and
   /// cache_capacity/cache_shards size each tenant's own cache region.
   ServiceOptions service;
-  /// Per-tenant coalescer; disabled entirely when enable_coalescing is off.
-  CoalescerOptions coalescer;
-  bool enable_coalescing = true;
   /// Durable observation logs root; empty = no trainers (estimate-only
   /// tenants). Tenant t logs under "<data_dir>/<t>" (default tenant: the
   /// root itself, matching single-tenant deployments).
@@ -116,7 +113,7 @@ class TenantManager {
     std::string id;
     std::string model_name;
     std::unique_ptr<EstimationService> service;
-    std::unique_ptr<BatchCoalescer> coalescer;   ///< Null when disabled.
+    std::unique_ptr<BatchCoalescer> coalescer;
     std::unique_ptr<IncrementalTrainer> trainer; ///< Null when not durable.
 
     // Heartbeat bookkeeping (guarded by the manager's stats_mu_).

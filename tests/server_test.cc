@@ -1102,14 +1102,14 @@ class ServerFrontendTest : public ::testing::Test {
     return values;
   }
 
-  /// Shared body for the coalesced-loopback bit-identity test, run against
+  /// Shared body for the concurrent-loopback bit-identity test, run against
   /// both poller backends: concurrent keep-alive clients with mixed
-  /// priorities (plus one deadline-carrying stream, which bypasses the
-  /// coalescer, and a small urgent stream, which is answered on the I/O
-  /// loop without entering it) through the async server must produce
-  /// responses byte-identical to the synchronous solo path.
-  void RunCoalescedLoopback(bool use_poll) {
-    BatchCoalescer coalescer(service_.get(), {});
+  /// priorities (plus one deadline-carrying stream, and a small urgent
+  /// stream, which is answered on the I/O loop without entering the
+  /// coalescer) through the async server must produce responses
+  /// byte-identical to the synchronous solo path.
+  void RunConcurrentLoopback(bool use_poll) {
+    BatchCoalescer coalescer(service_.get());
     frontend_->set_coalescer(&coalescer);
     HttpServerOptions options = FastPollOptions();
     options.use_poll = use_poll;
@@ -1123,7 +1123,7 @@ class ServerFrontendTest : public ::testing::Test {
     ASSERT_TRUE(server.Start(&error)) << error;
 
     // Stream 0 (6 urgent rows) fits one urgent chunk and is answered
-    // inline; stream 4 (10 urgent rows) does not and takes the coalescer.
+    // inline; stream 4 (10 urgent rows) does not and takes the pool.
     const char* priorities[] = {"urgent", "normal", "bulk", "normal",
                                 "urgent"};
     std::vector<std::string> bodies;
@@ -1160,23 +1160,21 @@ class ServerFrontendTest : public ::testing::Test {
     EXPECT_EQ(failures.load(), 0);
 
     const CoalescerStats stats = coalescer.stats();
-    // Every stream but the inline urgent one reached the coalescer.
+    // Every stream but the inline urgent one reached the coalescer, and
+    // each request went on as its own batch without waiting.
     EXPECT_EQ(stats.submissions + stats.passthrough,
               static_cast<uint64_t>(bodies.size() - 1) * kRounds);
-    // The deadline stream forwarded solo every round; urgent never waited:
-    // the large urgent stream flushed on arrival, and the small one was
-    // answered inline. The urgent lane ran one batch per urgent request
-    // plus the two solo-path batches behind `expected`.
-    EXPECT_GE(stats.passthrough, static_cast<uint64_t>(kRounds));
-    EXPECT_GE(stats.flush_urgent, static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(stats.passthrough, static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(stats.batches, stats.submissions);
+    EXPECT_EQ(stats.total_wait_us, 0.0);
+    // The large urgent stream took the pool's urgent lane; the small one
+    // was answered inline. The urgent lane ran one batch per urgent
+    // request plus the two solo-path batches behind `expected`.
+    EXPECT_EQ(stats.flush_urgent, static_cast<uint64_t>(kRounds));
     EXPECT_EQ(service_->stats().ForPriority(TaskPriority::kUrgent).batches,
               static_cast<uint64_t>(2 * kRounds + 2));
-    const uint64_t triggers = stats.flush_immediate + stats.flush_released +
-                        stats.flush_full + stats.flush_urgent +
-                        stats.flush_drain;
-    EXPECT_EQ(triggers, stats.batches);
 
-    // The scrape exposes the connection counters and coalescer families.
+    // The scrape exposes the connection counters and submission families.
     HttpClient scraper;
     ASSERT_TRUE(scraper.Connect("127.0.0.1", server.port(), &error)) << error;
     HttpClientResponse metrics;
@@ -1186,9 +1184,8 @@ class ServerFrontendTest : public ::testing::Test {
          {"resest_http_connections_accepted_total",
           "resest_http_keepalive_requests_total",
           "resest_coalesce_submissions_total",
-          "resest_coalesce_flushes_total{trigger=\"urgent\"}",
-          "resest_coalesce_batch_rows_bucket",
-          "resest_coalesce_wait_seconds_count"}) {
+          "resest_coalesce_passthrough_total",
+          "resest_coalesce_batch_rows_bucket"}) {
       EXPECT_NE(metrics.body.find(family), std::string::npos) << family;
     }
 
@@ -1429,29 +1426,29 @@ TEST_F(ServerFrontendTest, OversizedBodyOverHttpIs400AndServiceUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Event-driven server + cross-request coalescing.
+// Event-driven server with concurrent clients.
 // ---------------------------------------------------------------------------
 
-TEST_F(ServerFrontendTest, CoalescedResponsesBitIdenticalToSoloEpoll) {
-  RunCoalescedLoopback(/*use_poll=*/false);
+TEST_F(ServerFrontendTest, ConcurrentResponsesBitIdenticalToSoloEpoll) {
+  RunConcurrentLoopback(/*use_poll=*/false);
 }
 
-TEST_F(ServerFrontendTest, CoalescedResponsesBitIdenticalToSoloPoll) {
-  RunCoalescedLoopback(/*use_poll=*/true);
+TEST_F(ServerFrontendTest, ConcurrentResponsesBitIdenticalToSoloPoll) {
+  RunConcurrentLoopback(/*use_poll=*/true);
 }
 
-TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindHeldBulkRows) {
-  // Every pool worker is parked inside a bulk chunk, so the bulk lane is
-  // saturated and a bulk request posted now is held in the coalescer. An
-  // urgent request posted meanwhile must be answered at once rather than
-  // ride behind the held rows or the parked workers.
+TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindBusyWorkers) {
+  // Every pool worker is parked inside a bulk chunk. A bulk request posted
+  // now still goes to the service at once and waits there for a worker;
+  // an urgent request posted meanwhile must be answered at once rather
+  // than queue behind the bulk work.
   ChunkGate gate;
   ThreadPool pool(2);
   ServiceOptions sopts;
   sopts.chunk_claim_hook = gate.Hook();
   EstimationService service(registry_.get(), &pool, sopts);
   ServingFrontend frontend(&service, registry_.get(), "default");
-  BatchCoalescer coalescer(&service, {});
+  BatchCoalescer coalescer(&service);
   frontend.set_coalescer(&coalescer);
   HttpServer server(
       [&frontend](const HttpRequest& r, HttpResponseSender respond) {
@@ -1492,13 +1489,14 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindHeldBulkRows) {
     EXPECT_EQ(response.status, 200);
     EXPECT_EQ(response.body, bulk_expected);
   });
-  // Wait until the bulk rows are actually held in the bucket.
+  // Wait until the bulk request reached the coalescer: it was sent on as
+  // its own batch although no worker is free.
   for (int spin = 0; spin < 2000 && coalescer.stats().submissions < 3;
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_EQ(coalescer.stats().submissions, 3u);
-  EXPECT_EQ(coalescer.stats().batches, 2u) << "held rows were sent";
+  EXPECT_EQ(coalescer.stats().batches, 3u) << "a submission was held";
 
   HttpClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
@@ -1520,13 +1518,10 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindHeldBulkRows) {
   gate.Open();
   bulk_client.join();
   for (auto& f : saturating) f.get();
-  CoalescerStats stats = coalescer.stats();
-  // The held bulk rows went out when a parked batch completed.
-  EXPECT_EQ(stats.flush_released, 1u);
-  EXPECT_EQ(stats.flush_immediate, 2u);
+  EXPECT_EQ(coalescer.stats().total_wait_us, 0.0);
 
-  // An urgent request too large to answer inline flushes its bucket on
-  // arrival.
+  // An urgent request too large to answer inline goes to the pool's
+  // urgent lane, still without waiting in the coalescer.
   const std::string large_urgent =
       WireBatchBody(OperatorRequests(kUrgentChunkRows + 4, 8), "urgent");
   ASSERT_TRUE(client.Post("/v1/estimate", large_urgent, &response, &error))
@@ -1534,16 +1529,16 @@ TEST_F(ServerFrontendTest, UrgentRequestDoesNotWaitBehindHeldBulkRows) {
   EXPECT_EQ(response.status, 200);
   EXPECT_EQ(response.body,
             frontend_->Handle(Post("/v1/estimate", large_urgent)).body);
-  stats = coalescer.stats();
-  EXPECT_GE(stats.flush_urgent, 1u);
+  EXPECT_EQ(coalescer.stats().flush_urgent, 1u);
+  EXPECT_EQ(service.stats().ForPriority(TaskPriority::kUrgent).batches, 2u);
   server.Stop();
 }
 
-TEST_F(ServerFrontendTest, MalformedRequestIsolatedFromCoalescedBatch) {
+TEST_F(ServerFrontendTest, MalformedRequestIsolatedFromConcurrentRequests) {
   // Wire-parse rejection happens on the I/O thread before the coalescer:
   // a malformed request answered 400 beside concurrent valid requests must
-  // never poison the batches they ride in.
-  BatchCoalescer coalescer(service_.get(), {});
+  // never reach the service or change their answers.
+  BatchCoalescer coalescer(service_.get());
   frontend_->set_coalescer(&coalescer);
   HttpServer server(
       [this](const HttpRequest& r, HttpResponseSender respond) {
@@ -1597,7 +1592,7 @@ TEST_F(ServerFrontendTest, PipelinedKeepAliveRequestsAnswerInOrder) {
   // must answer all three, in order, each byte-identical to the solo path
   // (responses can never interleave — strictly one request in flight per
   // connection).
-  BatchCoalescer coalescer(service_.get(), {});
+  BatchCoalescer coalescer(service_.get());
   frontend_->set_coalescer(&coalescer);
   HttpServer server(
       [this](const HttpRequest& r, HttpResponseSender respond) {
@@ -1637,8 +1632,7 @@ TEST_F(ServerFrontendTest, PipelinedKeepAliveRequestsAnswerInOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-clocked coalescing: rows are held only while their lane has a batch
-// in flight on every pool worker, and a completion releases them.
+// The coalescer forwards every submission at once, as its own batch.
 // ---------------------------------------------------------------------------
 
 /// Collects one coalescer submission's results.
@@ -1650,11 +1644,15 @@ struct CoalescedCall {
 
 std::shared_ptr<CoalescedCall> SubmitThrough(
     BatchCoalescer* coalescer, std::vector<EstimateRequest> rows,
-    TaskPriority priority) {
+    TaskPriority priority, bool with_deadline = false) {
   auto call = std::make_shared<CoalescedCall>();
   call->rows = rows;
   SubmitOptions options;
   options.priority = priority;
+  if (with_deadline) {
+    options.deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  }
   coalescer->Submit(std::move(rows), options,
                     [call](std::vector<EstimateResult> results) {
                       call->promise.set_value(std::move(results));
@@ -1662,71 +1660,41 @@ std::shared_ptr<CoalescedCall> SubmitThrough(
   return call;
 }
 
-TEST_F(ServerFrontendTest, CoalescerWithIdleWorkersHoldsNothing) {
-  BatchCoalescer coalescer(service_.get(), {});
-  ASSERT_TRUE(coalescer.enabled());
-  // One at a time, and then fewer at once than the pool has workers
-  // (4): every submission goes straight to the service.
-  for (int i = 0; i < 6; ++i) {
-    auto call = SubmitThrough(&coalescer, OperatorRequests(1 + i, i),
-                              TaskPriority::kNormal);
-    const auto results = call->future.get();
-    const auto solo = service_->EstimateBatch(call->rows);
-    ASSERT_EQ(results.size(), solo.size());
-    for (size_t r = 0; r < solo.size(); ++r) {
-      EXPECT_EQ(std::memcmp(&results[r].value, &solo[r].value,
-                            sizeof(double)),
-                0);
-    }
-  }
-  std::vector<std::shared_ptr<CoalescedCall>> calls;
-  for (int i = 0; i < 3; ++i) {
-    calls.push_back(SubmitThrough(&coalescer, OperatorRequests(5, 20 + i),
-                                  TaskPriority::kBulk));
-  }
-  for (auto& call : calls) EXPECT_EQ(call->future.get().size(), 5u);
-
-  const CoalescerStats stats = coalescer.stats();
-  EXPECT_EQ(stats.submissions, 9u);
-  EXPECT_EQ(stats.batches, 9u);
-  EXPECT_EQ(stats.flush_immediate, 9u);
-  EXPECT_EQ(stats.flush_released, 0u);
-  EXPECT_EQ(stats.total_wait_us, 0.0);
-}
-
-TEST_F(ServerFrontendTest, CoalescerHoldsWhileSaturatedThenReleasesOneBatch) {
+TEST_F(ServerFrontendTest, CoalescerForwardsEverySubmissionAtOnce) {
+  // Even with every pool worker parked, nothing is held: each submission
+  // is sent to the service as its own batch before Submit returns, and
+  // each caller gets exactly its rows, bit-identical to the solo path.
   ChunkGate gate;
   ThreadPool pool(2);
   ServiceOptions sopts;
   sopts.chunk_claim_hook = gate.Hook();
   EstimationService service(registry_.get(), &pool, sopts);
-  BatchCoalescer coalescer(&service, {});
+  BatchCoalescer coalescer(&service);
   GateOpener opener{&gate};
 
-  // Two normal batches, one per worker: both go at once, and both workers
-  // park inside the first one's chunks.
   std::vector<std::shared_ptr<CoalescedCall>> calls;
   calls.push_back(
       SubmitThrough(&coalescer, OperatorRequests(4, 1), TaskPriority::kNormal));
   calls.push_back(
       SubmitThrough(&coalescer, OperatorRequests(4, 2), TaskPriority::kNormal));
   ASSERT_TRUE(gate.WaitParked(2));
-  EXPECT_EQ(coalescer.stats().flush_immediate, 2u);
-
-  // The normal lane is saturated: these two are held, not sent.
   calls.push_back(
       SubmitThrough(&coalescer, OperatorRequests(3, 3), TaskPriority::kNormal));
   calls.push_back(
-      SubmitThrough(&coalescer, OperatorRequests(5, 4), TaskPriority::kNormal));
-  CoalescerStats stats = coalescer.stats();
+      SubmitThrough(&coalescer, OperatorRequests(5, 4), TaskPriority::kBulk));
+  calls.push_back(SubmitThrough(&coalescer, OperatorRequests(2, 5),
+                                TaskPriority::kNormal, /*with_deadline=*/true));
+  const CoalescerStats stats = coalescer.stats();
   EXPECT_EQ(stats.submissions, 4u);
-  EXPECT_EQ(stats.batches, 2u);
-  // Lanes saturate independently: the idle bulk lane still sends at once.
-  calls.push_back(
-      SubmitThrough(&coalescer, OperatorRequests(2, 5), TaskPriority::kBulk));
-  stats = coalescer.stats();
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.flush_immediate, 3u);
+  EXPECT_EQ(stats.passthrough, 1u);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.coalesced_rows, 4u + 4u + 3u + 5u);
+  EXPECT_EQ(stats.batch_rows_histogram[2], 1u);  // 3 rows: [2, 4)
+  EXPECT_EQ(stats.batch_rows_histogram[3], 3u);  // 4, 4, 5 rows: [4, 8)
+  EXPECT_EQ(stats.MeanRowsPerBatch(), 4.0);
+  EXPECT_EQ(stats.total_wait_us, 0.0);
+  // The service admitted all five while every worker is still parked.
+  EXPECT_EQ(service.stats().batches, 5u);
   for (auto& call : calls) {
     EXPECT_EQ(call->future.wait_for(std::chrono::milliseconds(0)),
               std::future_status::timeout);
@@ -1747,19 +1715,12 @@ TEST_F(ServerFrontendTest, CoalescerHoldsWhileSaturatedThenReleasesOneBatch) {
           << "row " << r;
     }
   }
-  // The first completion released both held submissions as one batch.
-  stats = coalescer.stats();
-  EXPECT_EQ(stats.batches, 4u);
-  EXPECT_EQ(stats.flush_released, 1u);
-  EXPECT_EQ(stats.coalesced_rows, 4u + 4u + 3u + 5u + 2u);
-  EXPECT_EQ(stats.batch_rows_histogram[4], 1u);  // the 8-row merged batch
-  EXPECT_GT(stats.total_wait_us, 0.0);
 }
 
-TEST_F(ServerFrontendTest, CoalescerStressEveryCallbackOnceNothingStranded) {
-  // A TSan target: concurrent submitters on every lane, two tenants, a
-  // small max_rows and a deadline stream, over a two-worker pool so lanes
-  // saturate and release constantly.
+TEST_F(ServerFrontendTest, CoalescerConcurrentSubmittersEachAnsweredOnce) {
+  // A TSan target: concurrent submitters on every lane, two tenants and a
+  // deadline stream over a two-worker pool. Every callback fires exactly
+  // once with the right values, and the counters add up.
   ThreadPool pool(2);
   EstimationService service(registry_.get(), &pool);
   constexpr int kThreads = 6;
@@ -1768,11 +1729,8 @@ TEST_F(ServerFrontendTest, CoalescerStressEveryCallbackOnceNothingStranded) {
   std::vector<std::atomic<int>> calls(kTotal);
   std::atomic<int> completed{0};
   std::atomic<int> wrong{0};
-  std::atomic<uint64_t> rows_sent{0};
   {
-    CoalescerOptions copts;
-    copts.max_rows = 16;
-    BatchCoalescer coalescer(&service, copts);
+    BatchCoalescer coalescer(&service);
     std::vector<std::thread> submitters;
     for (int t = 0; t < kThreads; ++t) {
       submitters.emplace_back([&, t]() {
@@ -1786,7 +1744,6 @@ TEST_F(ServerFrontendTest, CoalescerStressEveryCallbackOnceNothingStranded) {
             options.deadline =
                 std::chrono::steady_clock::now() + std::chrono::seconds(60);
           }
-          rows_sent.fetch_add(rows.size());
           coalescer.Submit(
               rows, options,
               [&, id, rows](std::vector<EstimateResult> results) {
@@ -1806,19 +1763,16 @@ TEST_F(ServerFrontendTest, CoalescerStressEveryCallbackOnceNothingStranded) {
       });
     }
     for (auto& t : submitters) t.join();
-    // Nothing stranded: every callback arrives without a drain.
     for (int spin = 0; spin < 30000 && completed.load() < kTotal; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    EXPECT_EQ(completed.load(), kTotal) << "held rows were stranded";
+    EXPECT_EQ(completed.load(), kTotal);
 
     const CoalescerStats stats = coalescer.stats();
     EXPECT_EQ(stats.submissions + stats.passthrough,
               static_cast<uint64_t>(kTotal));
-    EXPECT_EQ(stats.flush_immediate + stats.flush_released +
-                  stats.flush_full + stats.flush_urgent + stats.flush_drain,
-              stats.batches);
-    EXPECT_EQ(stats.flush_drain, 0u);
+    EXPECT_EQ(stats.passthrough, static_cast<uint64_t>((kTotal + 10) / 11));
+    EXPECT_EQ(stats.batches, stats.submissions);
   }
   EXPECT_EQ(wrong.load(), 0);
   for (int id = 0; id < kTotal; ++id) {
@@ -2070,11 +2024,11 @@ TEST_F(ServerFrontendTest, SigtermDrainsUnderConcurrentKeepAliveClients) {
       << line;
   ASSERT_GT(port, 0u);
 
-  // Continuous keep-alive load from several clients (coalescing is on by
-  // default in the binary), SIGTERM mid-flight. The drain contract: every
-  // response a client receives is complete and bit-identical to the solo
-  // path, and the server's drain line accounts for exactly the responses
-  // the clients got — nothing dropped, nothing phantom.
+  // Continuous keep-alive load from several clients, SIGTERM mid-flight.
+  // The drain contract: every response a client receives is complete and
+  // bit-identical to the solo path, and the server's drain line accounts
+  // for exactly the responses the clients got — nothing dropped, nothing
+  // phantom.
   constexpr int kClients = 3;
   std::vector<std::string> bodies;
   std::vector<std::string> expected;
@@ -2146,7 +2100,6 @@ TEST_F(ServerFrontendTest, SigtermDrainsUnderConcurrentKeepAliveClients) {
 TEST_F(ServerFrontendTest, TenantRoutingSelectsConflictsAndRejects) {
   TenantOptions tenant_options;
   tenant_options.service.model_name = "default";
-  tenant_options.enable_coalescing = false;
   TenantManager manager(registry_.get(), pool_.get(), tenant_options);
   std::string terror;
   ASSERT_NE(manager.AddTenant(kDefaultTenant, &terror), nullptr) << terror;

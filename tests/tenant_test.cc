@@ -123,7 +123,6 @@ TEST_F(TenantTest, RegistrationResolutionAndModelNaming) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.enable_coalescing = false;
   TenantManager manager(&registry, &pool, options);
 
   std::string error;
@@ -158,7 +157,6 @@ TEST_F(TenantTest, CacheFloodInOneTenantNeverEvictsAnother) {
   options.service.model_name = "m";
   options.service.cache_capacity = 64;  // tiny region: floods evict fast
   options.service.cache_shards = 1;
-  options.enable_coalescing = false;
   TenantManager manager(&registry, &pool, options);
   ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
   ASSERT_NE(manager.AddTenant("alpha", nullptr), nullptr);
@@ -194,7 +192,6 @@ TEST_F(TenantTest, RefitPublishInOneTenantKeepsAnotherTenantsKeysLive) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.enable_coalescing = false;
   TenantManager manager(&registry, &pool, options);
   ASSERT_NE(manager.AddTenant(kDefaultTenant), nullptr);
   ASSERT_NE(manager.AddTenant("alpha", nullptr), nullptr);
@@ -394,7 +391,6 @@ TEST(TenantCrashRecoveryTest, SigkillMidAppendRecoversBothTenantsExactly) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "crash";
-  options.enable_coalescing = false;
   options.data_dir = root;
   options.train = TinyOptions();
   options.log_bounds = TightBounds();
@@ -413,9 +409,9 @@ TEST(TenantCrashRecoveryTest, SigkillMidAppendRecoversBothTenantsExactly) {
 
 // ---------------------------------------------------------------------------
 // Concurrent two-tenant traffic (a TSan target: the CI tsan job runs this
-// binary). Coalesced submissions, direct estimates, observe appends and
-// heartbeat scrapes race across tenants; every callback must fire exactly
-// once and per-tenant counters must add up.
+// binary). Submissions through each tenant's coalescer, direct estimates,
+// observe appends and heartbeat scrapes race across tenants; every
+// callback must fire exactly once and per-tenant counters must add up.
 // ---------------------------------------------------------------------------
 
 TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
@@ -423,7 +419,6 @@ TEST_F(TenantTest, ConcurrentTwoTenantTrafficIsRaceFreeAndAccountedPerTenant) {
   ModelRegistry registry;
   TenantOptions options;
   options.service.model_name = "m";
-  options.coalescer.max_rows = 64;
   // Declared before the manager: the last callback may still be notifying
   // when the wait below returns, and only the manager's destructor waits
   // for it.
