@@ -121,7 +121,8 @@ double Percentile(std::vector<double>& sorted, double p) {
 /// Urgent-probe latency while bulk scans keep the pool saturated. Probes
 /// are submitted at `probe_priority`: kBulk puts them on the same lane as
 /// the scans — FIFO, each probe waits for every scan request ahead of it —
-/// while kUrgent lets the chunk scheduler serve them next.
+/// while kUrgent puts them on the urgent pool lane, where a scan's helper
+/// yields its worker to them at its next chunk boundary.
 LatencySummary MeasureProbeLatencyUnderBulk(
     const ModelRegistry& registry, ThreadPool& pool,
     const std::vector<EstimateRequest>& bulk_requests,

@@ -75,7 +75,9 @@ void ThreadPool::Enqueue(TaskPriority priority, std::function<void()> task) {
     if (shutdown_) {
       throw std::runtime_error("ThreadPool: Submit after shutdown");
     }
-    lanes_[static_cast<size_t>(priority)].push_back(std::move(task));
+    const size_t p = static_cast<size_t>(priority);
+    lanes_[p].push_back(std::move(task));
+    queued_[p].store(lanes_[p].size(), std::memory_order_relaxed);
   }
   work_available_.notify_one();
 }
@@ -87,43 +89,47 @@ void ThreadPool::Wait() {
 }
 
 size_t ThreadPool::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(mu_);
   size_t depth = 0;
-  for (const auto& lane : lanes_) depth += lane.size();
+  for (const auto& queued : queued_) {
+    depth += queued.load(std::memory_order_relaxed);
+  }
   return depth;
 }
 
 size_t ThreadPool::QueueDepth(TaskPriority priority) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lanes_[static_cast<size_t>(priority)].size();
+  return queued_[static_cast<size_t>(priority)].load(
+      std::memory_order_relaxed);
+}
+
+bool ThreadPool::HigherLaneQueued(TaskPriority priority) const {
+  for (size_t p = 0; p < static_cast<size_t>(priority); ++p) {
+    if (queued_[p].load(std::memory_order_relaxed) > 0) return true;
+  }
+  return false;
 }
 
 void ThreadPool::WorkerLoop() {
+  // One mu_ acquisition per task: retiring a task and picking the next share
+  // it. Tasks that yield by re-submitting themselves make the pool mutex
+  // hot; a second acquisition per task measurably slowed urgent answers.
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(
-          lock, [this]() { return shutdown_ || !AllLanesEmptyLocked(); });
-      // Drain every lane before exiting so ~ThreadPool never drops work.
-      std::deque<std::function<void()>>* lane = nullptr;
-      for (auto& candidate : lanes_) {
-        if (!candidate.empty()) {
-          lane = &candidate;
-          break;
-        }
-      }
-      if (lane == nullptr) return;
-      task = std::move(lane->front());
-      lane->pop_front();
-      ++active_;
-    }
+    work_available_.wait(
+        lock, [this]() { return shutdown_ || !AllLanesEmptyLocked(); });
+    // Drain every lane before exiting so ~ThreadPool never drops work.
+    size_t p = 0;
+    while (p < kNumTaskPriorities && lanes_[p].empty()) ++p;
+    if (p == kNumTaskPriorities) return;
+    std::function<void()> task = std::move(lanes_[p].front());
+    lanes_[p].pop_front();
+    queued_[p].store(lanes_[p].size(), std::memory_order_relaxed);
+    ++active_;
+    lock.unlock();
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (AllLanesEmptyLocked() && active_ == 0) all_idle_.notify_all();
-    }
+    task = nullptr;  // Destroy its captures outside the lock.
+    lock.lock();
+    --active_;
+    if (AllLanesEmptyLocked() && active_ == 0) all_idle_.notify_all();
   }
 }
 

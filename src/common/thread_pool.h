@@ -6,6 +6,7 @@
 #define RESEST_COMMON_THREAD_POOL_H_
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -78,6 +79,14 @@ class ThreadPool {
   /// Tasks currently queued on one lane; for tests/metrics.
   size_t QueueDepth(TaskPriority priority) const;
 
+  /// True while a lane strictly above `priority` has a queued (not yet
+  /// started) task. One relaxed atomic read per lane, no lock: a long-running
+  /// task polls it at its own safe points and, when it is true, re-submits
+  /// the rest of its work on its own lane and returns, so strict lane order
+  /// hands the worker to the waiting task — whichever subsystem or tenant
+  /// it belongs to. A stale answer only delays or wastes one such yield.
+  bool HigherLaneQueued(TaskPriority priority) const;
+
  private:
   void Enqueue(TaskPriority priority, std::function<void()> task);
   void WorkerLoop();
@@ -88,6 +97,9 @@ class ThreadPool {
   std::condition_variable all_idle_;
   /// Index = TaskPriority; lower index drains first, FIFO within a lane.
   std::array<std::deque<std::function<void()>>, kNumTaskPriorities> lanes_;
+  /// Mirror of each lane's size, written under mu_ whenever the lane changes
+  /// and read without it (QueueDepth, HigherLaneQueued).
+  std::array<std::atomic<size_t>, kNumTaskPriorities> queued_{};
   std::vector<std::thread> workers_;
   size_t active_ = 0;       ///< Tasks currently executing.
   bool shutdown_ = false;   ///< Set once by the destructor.

@@ -4,7 +4,7 @@
 // the resest_coalesce_* /metrics families).
 //
 // It does not merge concurrent submissions. A merge adds no kernel width
-// (the chunk scheduler re-splits every batch into chunks of a few rows),
+// (the service re-splits every batch into chunks of a few rows),
 // and holding rows for a partner only adds latency (on perfbench's
 // wire-cold workload a 100 µs merge window held submissions ~140 µs of a
 // ~0.5 ms median answer). Merging only while the pool is saturated is not

@@ -59,9 +59,9 @@ double PriorityLaneStats::ApproxLatencyPercentileMs(double p) const {
          1000.0;
 }
 
-/// Shared state of one submitted batch. Owned jointly (shared_ptr) by the
-/// scheduler lanes, the pool helper tasks and, for blocking calls, the
-/// submitting frame; the last chunk's owner completes it. Requests are
+/// Shared state of one submitted batch. Owned jointly (shared_ptr) by its
+/// pool helper tasks and, for blocking calls, the submitting frame; the
+/// last chunk's owner completes it. Requests are
 /// copied in so the state is self-contained after the submitting call
 /// returns.
 struct EstimationService::BatchState {
@@ -87,9 +87,6 @@ struct EstimationService::BatchState {
   /// Passed the admission checks (non-empty, within max_batch_size); only
   /// admitted batches count toward per-priority lane stats.
   bool admitted = false;
-  /// Registered with the chunk scheduler (LaunchBatch); inline batches
-  /// never are, so their completion skips the scheduler lock.
-  bool scheduled = false;
 
   TaskPriority priority = TaskPriority::kNormal;
   bool has_deadline = false;
@@ -640,7 +637,6 @@ bool EstimationService::RunOneChunk(
   // acq_rel: the final decrement observes every other chunk's writes, so
   // the finisher publishes fully-written results.
   if (batch.chunks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (batch.scheduled) UnscheduleBatch(&batch);
     FinishBatch(&batch);
   }
   return true;
@@ -652,62 +648,33 @@ void EstimationService::RunChunks(
   }
 }
 
-std::shared_ptr<EstimationService::BatchState>
-EstimationService::PickRunnable(TaskPriority lane_floor) const {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  for (size_t p = 0; p <= static_cast<size_t>(lane_floor); ++p) {
-    auto& lane = runnable_[p];
-    while (!lane.empty()) {
-      std::shared_ptr<BatchState>& front = lane.front();
-      if (front->next_chunk.load(std::memory_order_relaxed) >=
-          front->num_chunks) {
-        // Fully claimed (possibly still executing elsewhere; completion is
-        // the chunk countdown's job, not the scheduler's).
-        lane.pop_front();
-        runnable_count_[p].fetch_sub(1, std::memory_order_relaxed);
-        continue;
-      }
-      return front;
-    }
+bool EstimationService::SubmitHelper(
+    const std::shared_ptr<BatchState>& state) const {
+  try {
+    pool_->Submit(state->priority,
+                  [this, state]() mutable { HelperLoop(std::move(state)); });
+    return true;
+  } catch (...) {
+    return false;  // Pool shutting down.
   }
-  return nullptr;
 }
 
-bool EstimationService::HigherPriorityRunnable(TaskPriority priority) const {
-  for (size_t p = 0; p < static_cast<size_t>(priority); ++p) {
-    if (runnable_count_[p].load(std::memory_order_relaxed) > 0) return true;
-  }
-  return false;
-}
-
-void EstimationService::UnscheduleBatch(const BatchState* state) const {
-  std::lock_guard<std::mutex> lock(sched_mu_);
-  const size_t p = static_cast<size_t>(state->priority);
-  auto& lane = runnable_[p];
-  for (auto it = lane.begin(); it != lane.end(); ++it) {
-    if (it->get() == state) {
-      lane.erase(it);
-      runnable_count_[p].fetch_sub(1, std::memory_order_relaxed);
+void EstimationService::HelperLoop(std::shared_ptr<BatchState> state) const {
+  // The yield check is one relaxed read per chunk and sees every pool
+  // user's queued work, not just this service's. A re-queue the pool
+  // refuses (shutdown) just keeps draining here.
+  while (RunOneChunk(state)) {
+    if (pool_->HigherLaneQueued(state->priority) &&
+        state->next_chunk.load(std::memory_order_relaxed) <
+            state->num_chunks &&
+        SubmitHelper(state)) {
       return;
     }
   }
-}
-
-void EstimationService::HelperLoop(TaskPriority lane_floor) const {
-  // Serve the highest-priority runnable batch at or above the helper's
-  // seed lane, switching batches only when the current one is exhausted or
-  // higher-priority work arrives (a cheap atomic poll) — the steady state
-  // claims chunks with a single fetch_add, no scheduler lock. A false
-  // RunOneChunk (the pick raced the batch's last claim) just re-picks; the
-  // exhausted batch is popped by the next PickRunnable scan. Newly
-  // submitted urgent batches preempt in-progress lower-priority work at
-  // chunk granularity without cancelling anything.
-  std::shared_ptr<BatchState> batch = PickRunnable(lane_floor);
-  while (batch != nullptr) {
-    if (!RunOneChunk(batch) || HigherPriorityRunnable(batch->priority)) {
-      batch = PickRunnable(lane_floor);
-    }
-  }
+  // Drop the batch (and any callback it holds) while the service is still
+  // alive: the destructor may return as soon as the slot is released.
+  state.reset();
+  ReleaseInflight();
 }
 
 void EstimationService::FinishBatch(BatchState* state) const {
@@ -766,29 +733,14 @@ void EstimationService::LaunchBatch(
     FinishBatch(state.get());
     return;
   }
-  state->scheduled = true;
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    const size_t p = static_cast<size_t>(state->priority);
-    runnable_[p].push_back(state);
-    runnable_count_[p].fetch_add(1, std::memory_order_relaxed);
-  }
   // Seed one helper per available worker (never more than there are
-  // chunks) on the batch's pool lane; helpers steal chunks — highest
-  // priority first, floored at their seed lane — until no such batch is
-  // runnable, so a stalled or saturated pool only reduces parallelism,
-  // never correctness: every batch's completion rests on its own helpers
-  // (and, for blocking calls, its submitter), never on higher-lane ones.
+  // chunks) on the batch's pool lane. Every batch's completion rests on its
+  // own helpers (and, for blocking calls, its submitter), so a stalled or
+  // saturated pool only reduces parallelism, never correctness.
   const size_t helpers = std::min(state->num_chunks, pool_->num_threads());
-  const TaskPriority lane_floor = state->priority;
   for (size_t i = 0; i < helpers; ++i) {
     AcquireInflight();
-    try {
-      pool_->Submit(lane_floor, [this, lane_floor]() {
-        HelperLoop(lane_floor);
-        ReleaseInflight();
-      });
-    } catch (...) {
+    if (!SubmitHelper(state)) {
       // Pool shutting down: run this batch's remaining chunks on this
       // thread so the batch still completes (the pool contract is that the
       // service outlives it, but degrade gracefully rather than dropping

@@ -10,15 +10,16 @@
 // the exact double a miss would have computed (see estimate_cache.h).
 //
 // Scheduling: every batch carries a TaskPriority and an optional deadline
-// (SubmitOptions). Chunks are fanned out on the pool lane matching the
-// batch's priority, and the service's own chunk scheduler serves runnable
-// batches highest-priority-first with FIFO order within a priority — so
-// small urgent batches (admission probes) overtake queued bulk scans at
-// chunk granularity instead of waiting for them to drain. Deadlines are
-// best-effort expiry, not cancellation: a chunk that has not started when
-// its batch's deadline passes completes with kDeadlineExceeded without
-// executing, while a started chunk always runs to completion and returns
-// the normal bit-identical value.
+// (SubmitOptions). Chunks are fanned out by helper tasks on the pool lane
+// matching the batch's priority, and the pool's strict lane order is the
+// only scheduler: a helper yields its worker at a chunk boundary whenever
+// a higher lane has queued work, so small urgent batches (admission
+// probes) overtake bulk scans at chunk granularity — across every service
+// and tenant sharing the pool — instead of waiting for them to drain.
+// Deadlines are best-effort expiry, not cancellation: a chunk that has not
+// started when its batch's deadline passes completes with
+// kDeadlineExceeded without executing, while a started chunk always runs
+// to completion and returns the normal bit-identical value.
 #ifndef RESEST_SERVING_ESTIMATION_SERVICE_H_
 #define RESEST_SERVING_ESTIMATION_SERVICE_H_
 
@@ -27,7 +28,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -98,11 +98,10 @@ struct SubmitOptions {
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Tenant binding (multi-tenant serving, src/serving/tenant_manager.h).
-  /// Empty means the default tenant. The TenantManager routes each request
-  /// to its tenant's own service/cache/logs; the tag travels with the
-  /// submission so shared pipeline stages — the BatchCoalescer in
-  /// particular — never merge work across tenants even when one instance
-  /// is (mis)shared between them.
+  /// Empty means the default tenant. The front end resolves the tenant
+  /// through the TenantManager, submits to that tenant's own service and
+  /// stamps the resolved id here as a label. No stage reads it: nothing
+  /// merges submissions, so nothing can mix tenants.
   std::string tenant;
 
   bool has_deadline() const {
@@ -161,7 +160,7 @@ inline constexpr size_t kUrgentChunkRows = 8;
 inline constexpr size_t kServiceLatencyBuckets = 20;
 
 /// Per-priority accounting of the batched pipeline (Estimate(), the
-/// synchronous single-request path, bypasses the scheduler and is counted
+/// synchronous single-request path, bypasses the pool and is counted
 /// only in the aggregate ServiceStats fields). Latency is measured per
 /// batch, submission to completion; single-request Submits are one-request
 /// batches, so their batch latency is the request latency.
@@ -226,14 +225,16 @@ using EstimateCallback = std::function<void(EstimateResult)>;
 /// own chunks instead of parking on workers — so even a saturated or
 /// single-threaded pool cannot deadlock a nested call.
 ///
-/// Priority: pool helper tasks are chunk drainers that serve the
-/// highest-priority runnable batch at or above the lane they were seeded
-/// on (FIFO within a priority), switching batches at chunk boundaries — a
-/// bulk scan in progress delays an urgent probe by at most one chunk per
-/// busy worker, while an urgent-lane pool slot never executes bulk work
-/// (which would starve other normal-lane pool users). Blocking callers
-/// only ever drain their own batch, so a blocking urgent caller never
-/// executes bulk work either.
+/// Priority: each batch is drained by pool helper tasks seeded on its
+/// priority's lane; a helper runs only its own batch's chunks. After every
+/// chunk it asks the pool whether a higher lane has queued work
+/// (ThreadPool::HigherLaneQueued) and, if so, re-queues itself at the back
+/// of its own lane and returns, so the pool runs that work next — whichever
+/// service, tenant or subsystem it belongs to. A bulk scan in progress thus
+/// delays an urgent probe by at most one chunk per busy worker, and an
+/// urgent-lane pool slot never executes bulk work. Blocking callers only
+/// ever drain their own batch, so a blocking urgent caller never executes
+/// bulk work either.
 class EstimationService {
  public:
   EstimationService(const ModelRegistry* registry, ThreadPool* pool,
@@ -273,7 +274,7 @@ class EstimationService {
                    const SubmitOptions& submit_options = {}) const;
 
   /// Runs a batch to completion on the calling thread, as one chunk: no
-  /// pool helpers, no scheduler queue, no cross-thread wake-up. Same
+  /// pool helpers, no pool queue, no cross-thread wake-up. Same
   /// admission, deadline, caching, dedup and stats as EstimateBatch, and
   /// bit-identical results. Meant for small latency-critical batches
   /// (urgent probes of at most kUrgentChunkRows rows answered on an I/O
@@ -333,7 +334,7 @@ class EstimationService {
   EstimateResult EstimateWith(const ModelSnapshot& snapshot,
                               const EstimateRequest& request) const;
   /// The grouped compiled-forest fast path for `count` consecutive requests
-  /// (one scheduler chunk — the unit one thread serves). Every operator of
+  /// (one chunk — the unit one thread serves). Every operator of
   /// every request in the chunk that misses the cache (all of them when the
   /// cache is disabled) is grouped by (operator type, resource), deduplicated
   /// bitwise (self-similar plans and repeated probes collapse to one
@@ -358,9 +359,8 @@ class EstimationService {
   std::shared_ptr<BatchState> MakeBatch(std::vector<EstimateRequest> requests,
                                         const SubmitOptions& submit_options)
       const;
-  /// Registers a runnable batch with the chunk scheduler and seeds pool
-  /// helpers on its priority lane, or completes a degenerate batch inline.
-  /// Never blocks.
+  /// Seeds pool helpers on the batch's priority lane, or completes a
+  /// degenerate batch inline. Never blocks.
   void LaunchBatch(const std::shared_ptr<BatchState>& state) const;
   /// Claims and runs one chunk of `state` (expiring it instead when the
   /// batch deadline has passed); finishes the batch when it was the last.
@@ -369,24 +369,15 @@ class EstimationService {
   /// Drains all remaining chunks of one batch; used by blocking callers
   /// (who must only ever execute their own batch) and shutdown fallback.
   void RunChunks(const std::shared_ptr<BatchState>& state) const;
-  /// Pool helper body: repeatedly serve the highest-priority runnable
-  /// batch at priority >= lane_floor, one chunk at a time, until none has
-  /// unclaimed chunks. The floor is the pool lane the helper was seeded
-  /// on: a helper occupying an urgent pool slot must not drain bulk work
-  /// there (it would starve other subsystems' normal-lane pool tasks);
-  /// lower-lane helpers serve higher-priority batches freely — that is the
-  /// chunk-granular preemption.
-  void HelperLoop(TaskPriority lane_floor) const;
-  /// Highest-priority batch with unclaimed chunks at priority >=
-  /// lane_floor (FIFO within a priority), or null. Pops exhausted batches
-  /// as it scans.
-  std::shared_ptr<BatchState> PickRunnable(TaskPriority lane_floor) const;
-  /// True when some runnable batch outranks `priority`; a cheap relaxed
-  /// read so helpers stay on their current batch lock-free until there is
-  /// a reason to switch.
-  bool HigherPriorityRunnable(TaskPriority priority) const;
-  /// Removes a completed batch from its scheduler lane.
-  void UnscheduleBatch(const BatchState* state) const;
+  /// Queues one HelperLoop task for `state` on the batch's pool lane. The
+  /// caller holds the in-flight slot the task will release. False when the
+  /// pool is shutting down and the task was not queued.
+  bool SubmitHelper(const std::shared_ptr<BatchState>& state) const;
+  /// Pool helper body: drains `state` one chunk at a time. When a higher
+  /// pool lane has queued work and chunks remain, it re-submits itself on
+  /// its own lane (keeping its in-flight slot) and returns; otherwise it
+  /// releases the slot once the batch has no unclaimed chunk.
+  void HelperLoop(std::shared_ptr<BatchState> state) const;
   /// Publishes results (promise or callback) and tallies per-request and
   /// per-priority stats. Called exactly once per batch, by whichever
   /// thread drains last.
@@ -430,23 +421,11 @@ class EstimationService {
   };
   mutable std::array<LaneCounters, kNumTaskPriorities> lane_counters_;
 
-  /// Chunk scheduler: runnable (non-degenerate, unexhausted) batches per
-  /// priority, FIFO within a lane. Helpers always serve the front of the
-  /// lowest-indexed non-empty lane at or above their floor.
-  mutable std::mutex sched_mu_;
-  mutable std::array<std::deque<std::shared_ptr<BatchState>>,
-                     kNumTaskPriorities>
-      runnable_;
-  /// Mirror of each lane's deque size, readable without sched_mu_ — lets a
-  /// helper poll "did higher-priority work arrive?" per chunk without
-  /// serializing all chunk claims on the scheduler mutex.
-  mutable std::array<std::atomic<size_t>, kNumTaskPriorities>
-      runnable_count_{};
-
   mutable std::mutex inflight_mu_;
   mutable std::condition_variable inflight_idle_;
-  /// Outstanding pool helper tasks (not batches: one batch holds up to
-  /// min(num_chunks, pool threads) slots until its helpers exit).
+  /// Outstanding pool helper tasks, queued or running (not batches: one
+  /// batch holds up to min(num_chunks, pool threads) slots until its
+  /// helpers exit; a yielding helper's slot moves to its re-queued task).
   mutable size_t inflight_ = 0;
 };
 

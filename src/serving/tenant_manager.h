@@ -10,15 +10,17 @@
 //  - an EstimationService with its own partitioned EstimateCache region
 //    (independent capacity, eviction and per-shard stats): a tenant
 //    flooding its cache evicts only its own entries;
-//  - a BatchCoalescer (optional): cross-request micro-batches merge only
-//    within the tenant;
+//  - a BatchCoalescer (optional): forwards and counts the tenant's
+//    submissions; it merges nothing;
 //  - a WAL-backed observation-log directory (`<data-dir>/<tenant>/`; the
 //    default tenant keeps the legacy `<data-dir>` root so single-tenant
 //    deployments recover unchanged) with its own LogBounds cap and
 //    RefitPolicy, via a per-tenant IncrementalTrainer.
 //
-// The shared pieces are the ThreadPool (priority lanes arbitrate CPU
-// across tenants at chunk granularity) and the ModelRegistry map itself.
+// The shared pieces are the ThreadPool and the ModelRegistry map itself.
+// The pool's priority lanes arbitrate CPU across tenants at chunk
+// granularity: a service's helper yields its worker whenever any tenant
+// has work queued on a higher lane (ThreadPool::HigherLaneQueued).
 //
 // Heartbeat: Heartbeat() is designed to hang off the HTTP server's event-
 // loop sweep (HttpServerOptions::on_sweep). It self-rate-limits to

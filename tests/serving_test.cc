@@ -134,6 +134,46 @@ TEST(ThreadPoolTest, DefaultSubmitLandsOnTheNormalLane) {
   EXPECT_EQ(f.get(), 3);
 }
 
+TEST(ThreadPoolTest, HigherLaneQueuedOnlyForQueuedWorkOnHigherLanes) {
+  ThreadPool pool(1);
+  const auto expect_lanes = [&pool](bool above_normal, bool above_bulk) {
+    EXPECT_FALSE(pool.HigherLaneQueued(TaskPriority::kUrgent));
+    EXPECT_EQ(pool.HigherLaneQueued(TaskPriority::kNormal), above_normal);
+    EXPECT_EQ(pool.HigherLaneQueued(TaskPriority::kBulk), above_bulk);
+    // QueueDepth reads the same per-lane counts.
+    const size_t urgent = pool.QueueDepth(TaskPriority::kUrgent);
+    const size_t normal = pool.QueueDepth(TaskPriority::kNormal);
+    EXPECT_EQ(above_normal, urgent > 0);
+    EXPECT_EQ(above_bulk, urgent + normal > 0);
+  };
+  expect_lanes(false, false);
+
+  // A running task is not queued: the parked urgent gate counts nowhere.
+  std::promise<void> gate_entered;
+  std::promise<void> gate_release;
+  std::shared_future<void> release = gate_release.get_future().share();
+  pool.Submit(TaskPriority::kUrgent, [&gate_entered, release]() {
+    gate_entered.set_value();
+    release.wait();
+  });
+  gate_entered.get_future().wait();
+  expect_lanes(false, false);
+
+  pool.Submit(TaskPriority::kBulk, []() {});
+  expect_lanes(false, false);  // Nothing outranks bulk on its own lane.
+  pool.Submit(TaskPriority::kNormal, []() {});
+  expect_lanes(false, true);
+  EXPECT_EQ(pool.QueueDepth(TaskPriority::kNormal), 1u);
+  pool.Submit(TaskPriority::kUrgent, []() {});
+  expect_lanes(true, true);
+  EXPECT_EQ(pool.QueueDepth(), 3u);
+
+  gate_release.set_value();
+  pool.Wait();
+  expect_lanes(false, false);
+  EXPECT_EQ(pool.QueueDepth(), 0u);
+}
+
 TEST(ThreadPoolTest, DestructorDrainsAllLanes) {
   std::atomic<int> done{0};
   {
@@ -617,8 +657,6 @@ TEST_F(ServingTest, SubmitEstimateFutureAndCallback) {
 TEST_F(ServingTest, ConcurrentMixedSubmittersAgreeWithSerial) {
   ModelRegistry registry;
   registry.Publish("default", SharedEstimator());
-  ThreadPool pool(4);
-  EstimationService service(&registry, &pool);
 
   const auto requests = QueueRequests(Resource::kCpu);
   std::vector<double> serial(requests.size());
@@ -627,27 +665,81 @@ TEST_F(ServingTest, ConcurrentMixedSubmittersAgreeWithSerial) {
         *requests[i].plan, *requests[i].database, Resource::kCpu);
   }
 
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&, t]() {
-      for (int round = 0; round < 2; ++round) {
-        std::vector<EstimateResult> results;
-        if ((t + round) % 2 == 0) {
-          results = service.SubmitBatch(requests).get();
-        } else {
-          results = service.EstimateBatch(requests);
-        }
-        for (size_t i = 0; i < results.size(); ++i) {
-          if (!results[i].ok() || results[i].value != serial[i]) {
-            mismatches.fetch_add(1);
-          }
+  // Submitters mix all three lanes and all three flavors, with deadlines
+  // far enough out that nothing expires. Inputs: one service, then a
+  // second service on the same pool, where a helper yields its worker to
+  // the other service's higher-lane work and re-queues itself.
+  constexpr int kCallers = 6;
+  constexpr int kRounds = 3;
+  constexpr TaskPriority kLanes[] = {TaskPriority::kUrgent,
+                                     TaskPriority::kNormal,
+                                     TaskPriority::kBulk};
+  for (const size_t num_services : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(num_services);
+    ThreadPool pool(4);
+    std::atomic<int> mismatches{0};
+    const auto check = [&](const std::vector<EstimateResult>& results) {
+      if (results.size() != serial.size()) {
+        mismatches.fetch_add(1);
+        return;
+      }
+      for (size_t i = 0; i < results.size(); ++i) {
+        if (!results[i].ok() || results[i].value != serial[i]) {
+          mismatches.fetch_add(1);
         }
       }
-    });
+    };
+    std::vector<std::atomic<int>> callback_runs(kCallers * kRounds);
+    {
+      std::vector<std::unique_ptr<EstimationService>> services;
+      for (size_t i = 0; i < num_services; ++i) {
+        services.push_back(
+            std::make_unique<EstimationService>(&registry, &pool));
+      }
+      std::vector<std::thread> callers;
+      for (int t = 0; t < kCallers; ++t) {
+        callers.emplace_back([&, t]() {
+          const EstimationService& service =
+              *services[static_cast<size_t>(t) % num_services];
+          SubmitOptions opts;
+          opts.priority = kLanes[t % 3];
+          opts.deadline =
+              std::chrono::steady_clock::now() + std::chrono::minutes(5);
+          for (int round = 0; round < kRounds; ++round) {
+            std::atomic<int>& runs =
+                callback_runs[static_cast<size_t>(t * kRounds + round)];
+            switch ((t + round) % 3) {
+              case 0:
+                check(service.SubmitBatch(requests, opts).get());
+                break;
+              case 1:
+                check(service.EstimateBatch(requests, opts));
+                break;
+              default:
+                service.SubmitBatch(
+                    requests,
+                    [&check, &runs](std::vector<EstimateResult> results) {
+                      check(results);
+                      runs.fetch_add(1);
+                    },
+                    opts);
+            }
+          }
+        });
+      }
+      for (auto& c : callers) c.join();
+    }  // Each destructor waits for its helpers, re-queued ones included...
+    // ...so every callback has run by now, while the pool is still up.
+    for (int t = 0; t < kCallers; ++t) {
+      for (int round = 0; round < kRounds; ++round) {
+        const int runs =
+            callback_runs[static_cast<size_t>(t * kRounds + round)].load();
+        EXPECT_EQ(runs, (t + round) % 3 == 2 ? 1 : 0)
+            << "caller " << t << " round " << round;
+      }
+    }
+    EXPECT_EQ(mismatches.load(), 0);
   }
-  for (auto& c : callers) c.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -731,6 +823,82 @@ TEST_F(ServingTest, UrgentBatchOvertakesQueuedBulkBatch) {
   ASSERT_EQ(completion_order.size(), 2u);
   EXPECT_STREQ(completion_order[0], "urgent");
   EXPECT_STREQ(completion_order[1], "bulk");
+}
+
+TEST_F(ServingTest, UrgentBatchOfAnotherServiceOvertakesBulkOnSharedPool) {
+  // Two services (two tenants) share one single-worker pool. Service A's
+  // bulk helper holds the worker; service B's urgent batch must still run
+  // next, at A's next chunk boundary, not after A's whole batch.
+  ModelRegistry registry;
+  registry.Publish("default", SharedEstimator());
+  ThreadPool pool(1);
+
+  std::mutex mu;
+  std::vector<TaskPriority> claims;
+  std::promise<void> bulk_claimed;
+  std::promise<void> resume_bulk;
+  std::shared_future<void> resume = resume_bulk.get_future().share();
+  ServiceOptions bulk_options;
+  bulk_options.chunk_size = 1;
+  bulk_options.enable_cache = false;
+  bulk_options.chunk_claim_hook = [&](TaskPriority priority, bool) {
+    bool first;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      first = claims.empty();
+      claims.push_back(priority);
+    }
+    if (first) {
+      bulk_claimed.set_value();
+      resume.wait();
+    }
+  };
+  ServiceOptions urgent_options;
+  urgent_options.chunk_size = 1;
+  urgent_options.enable_cache = false;
+  urgent_options.chunk_claim_hook = [&](TaskPriority priority, bool) {
+    std::lock_guard<std::mutex> lock(mu);
+    claims.push_back(priority);
+  };
+  EstimationService service_a(&registry, &pool, bulk_options);
+  EstimationService service_b(&registry, &pool, urgent_options);
+
+  const auto requests = QueueRequests(Resource::kCpu);
+  ASSERT_EQ(requests.size(), 70u);
+  SubmitOptions bulk;
+  bulk.priority = TaskPriority::kBulk;
+  auto bulk_future = service_a.SubmitBatch(requests, bulk);
+  bulk_claimed.get_future().wait();  // A's helper now holds the worker.
+
+  const std::vector<EstimateRequest> probe(requests.begin(),
+                                           requests.begin() + 9);
+  SubmitOptions urgent;
+  urgent.priority = TaskPriority::kUrgent;
+  auto urgent_future = service_b.SubmitBatch(probe, urgent);
+  resume_bulk.set_value();
+
+  const auto urgent_results = urgent_future.get();
+  const auto bulk_results = bulk_future.get();
+  for (size_t i = 0; i < probe.size(); ++i) {
+    ASSERT_TRUE(urgent_results[i].ok());
+    EXPECT_EQ(urgent_results[i].value,
+              estimator_->EstimateQuery(*probe[i].plan, *probe[i].database,
+                                        Resource::kCpu));
+  }
+  for (const auto& r : bulk_results) EXPECT_TRUE(r.ok());
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(claims.size(), requests.size() + probe.size());
+  size_t urgent_claims = 0;
+  size_t last_urgent = 0;
+  for (size_t i = 0; i < claims.size(); ++i) {
+    if (claims[i] != TaskPriority::kUrgent) continue;
+    ++urgent_claims;
+    last_urgent = i;
+  }
+  EXPECT_EQ(urgent_claims, probe.size());
+  // A's parked chunk 0 finishes, then all nine urgent chunks run.
+  EXPECT_LE(last_urgent, 10u);
 }
 
 TEST_F(ServingTest, AlreadyExpiredBatchReturnsDeadlineExceededUnexecuted) {
